@@ -1572,20 +1572,34 @@ fn hybrid_loop<W: AccelWord>(
             port.send_flits(sim, pe, mc_node, vec![image], j as u64)?;
             idx += 1;
         }
-        sim.step();
-        sim.drain_all_delivered_into(&mut delivered);
-        for d in &delivered {
-            let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
-            debug_assert!(accepted, "hybrid wires are perfect");
-            let j = d.tag as usize;
-            debug_assert!(config.noc.is_mc(d.dst), "responses terminate at MCs");
-            let bits = port
-                .session()
-                .decode_response::<W>(&d.payload_flits)
-                .map_err(|e| AccelError::Decode(e.to_string()))?;
-            debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
-            responses[j] = Some(bits);
-            remaining -= 1;
+        let idle_until = staged
+            .get(idx)
+            .filter(|_| sim.in_flight() == 0)
+            .map(|&(.., ready)| base + (ready - ready0));
+        if let Some(ready_at) = idle_until {
+            // Empty mesh, next response still computing: an idle `step`
+            // only bumps the clock, so jump to its ready cycle — capped
+            // at the cycle where stepping would have tripped the stall
+            // check below.
+            let stall_at =
+                start_cycle.saturating_add(config.max_cycles_per_layer.saturating_add(1));
+            sim.advance_cycle_to(ready_at.min(stall_at));
+        } else {
+            sim.step();
+            sim.drain_all_delivered_into(&mut delivered);
+            for d in &delivered {
+                let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
+                debug_assert!(accepted, "hybrid wires are perfect");
+                let j = d.tag as usize;
+                debug_assert!(config.noc.is_mc(d.dst), "responses terminate at MCs");
+                let bits = port
+                    .session()
+                    .decode_response::<W>(&d.payload_flits)
+                    .map_err(|e| AccelError::Decode(e.to_string()))?;
+                debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
+                responses[j] = Some(bits);
+                remaining -= 1;
+            }
         }
         if sim.cycle() - start_cycle > config.max_cycles_per_layer {
             return Err(AccelError::Stall {

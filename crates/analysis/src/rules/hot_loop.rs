@@ -21,8 +21,8 @@ use crate::rules::emit;
 use crate::source::Workspace;
 
 /// The transition-counting hot modules: the simulator, the analytic
-/// replay, the per-link accumulators, the link codecs, and the
-/// word-level transition kernels.
+/// replay, the per-link accumulators, the link codecs, the word-level
+/// transition kernels, and the Table I stream kernel.
 pub const HOT_LOOP_PATHS: &[&str] = &[
     "crates/noc/src/sim.rs",
     "crates/noc/src/analytic.rs",
@@ -30,6 +30,7 @@ pub const HOT_LOOP_PATHS: &[&str] = &[
     "crates/bits/src/stats.rs",
     "crates/bits/src/transition.rs",
     "crates/core/src/codec.rs",
+    "crates/core/src/stream.rs",
 ];
 
 /// Identifiers that mark a range bound as counting bits/wires.

@@ -147,14 +147,18 @@ impl TieBreak {
             TieBreak::Stable => {
                 // One stable counting pass over popcount buckets, emitted
                 // high→low: ties keep their original (insertion) order.
+                // Popcounts are computed once and reused by both passes.
+                let popcounts = &mut scratch.popcounts;
+                popcounts.clear();
+                popcounts.extend(values.iter().map(|v| v.popcount() as u8));
                 let mut offsets = [0usize; POPCOUNT_BUCKETS];
-                for v in values {
-                    offsets[v.popcount() as usize] += 1;
+                for &p in popcounts.iter() {
+                    offsets[usize::from(p)] += 1;
                 }
                 descending_prefix_offsets(&mut offsets[..=w]);
                 out.resize(n, 0);
-                for (i, v) in values.iter().enumerate() {
-                    let slot = &mut offsets[v.popcount() as usize];
+                for (i, &p) in popcounts.iter().enumerate() {
+                    let slot = &mut offsets[usize::from(p)];
                     out[*slot] = i;
                     *slot += 1;
                 }
@@ -165,7 +169,7 @@ impl TieBreak {
                 // last (most significant). Every pass is a stable
                 // descending counting sort, so the result is the stable
                 // descending lexicographic (popcount, bits) order.
-                let SortScratch { keys, swap } = scratch;
+                let SortScratch { keys, swap, .. } = scratch;
                 keys.clear();
                 keys.extend(values.iter().enumerate().map(|(i, v)| SortKey {
                     popcount: v.popcount(),
@@ -258,12 +262,14 @@ fn radix_pass_descending(
 }
 
 /// Reusable buffers of the ordering kernel: the precomputed keys plus the
-/// LSD radix ping-pong array. One instance per encoder thread (via
+/// LSD radix ping-pong array (value rule), the per-value popcounts
+/// (stable rule). One instance per encoder thread (via
 /// `TransportScratch`) keeps the per-task sort allocation-free.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     keys: Vec<SortKey>,
     swap: Vec<SortKey>,
+    popcounts: Vec<u8>,
 }
 
 /// Precomputed comparison key of one value: popcount, (optional) raw bit

@@ -16,14 +16,31 @@
 //! many-flit monotone grid corresponds to such a multi-packet window.
 //! Padded zeros keep their slots ("we do not order the padded zeros",
 //! Sec. IV-A), so baseline and ordered streams have identical flit counts.
+//!
+//! # Packed layout and the pair kernel
+//!
+//! A stream is a [`StreamFlits`]: one flat `Vec<u64>` holding each flit's
+//! `values_per_flit × W::WIDTH` link bits in `width.div_ceil(64)` words
+//! (1 word per 8-lane fixed-8 flit, 4 per 8-lane float-32 flit), lane `s`
+//! at bits `s·W..(s+1)·W`, LSB-first, bits above the width zero. The
+//! builder writes values straight into those words, reusing one set of
+//! occupancy / permutation / assignment buffers across windows.
+//!
+//! Both comparisons feed flit pairs to one kernel. Each pair's XOR words
+//! go into bit-sliced (vertical) counters — plane `k` of a word holds bit
+//! `k` of its 64 wires' running counts, so adding a diff word is an
+//! 8-level ripple of AND/XOR — flushed into the per-wire totals every
+//! `2^8 − 1` pairs, before any 8-bit counter can overflow. The stream's
+//! transition total is the sum of the per-wire totals. No per-toggle
+//! increments, per-pair popcounts or per-pair flit copies remain on the
+//! measurement path.
 
-use crate::flitize::flitize_values;
-use crate::ordering::round_robin_assignment;
 pub use crate::ordering::TieBreak;
-use crate::transport::{pack_values, row_major_assignment, window_occupancy};
+use crate::ordering::{round_robin_assignment_into, SortScratch};
+use crate::transport::{row_major_assignment_into, window_occupancy_into};
 use btr_bits::payload::PayloadBits;
 use btr_bits::stats::{BitPositionStats, PopcountHistogram};
-use btr_bits::transition::{reduction_rate, TransitionRecorder};
+use btr_bits::transition::reduction_rate;
 use btr_bits::word::DataWord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,13 +105,142 @@ impl WindowConfig {
     }
 }
 
+/// A stream of equal-width flits packed into a flat word buffer: flit `i`
+/// occupies words `i·k..(i+1)·k` with `k = width.div_ceil(64)`, LSB-first,
+/// bits at or above `width` zero (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamFlits {
+    width: u32,
+    words_per_flit: usize,
+    words: Vec<u64>,
+}
+
+impl StreamFlits {
+    /// An empty stream of `width`-bit flits (`width > 0`).
+    fn new(width: u32) -> Self {
+        assert!(width > 0, "flit width must be positive");
+        Self {
+            width,
+            words_per_flit: width.div_ceil(64) as usize,
+            words: Vec::new(),
+        }
+    }
+
+    /// Packs flit images of `width` bits (e.g. an ablation ordering's
+    /// [`PayloadBits`] output) into a stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or any flit is not `width` bits wide.
+    #[must_use]
+    pub fn from_payloads(width: u32, flits: &[PayloadBits]) -> Self {
+        let mut out = Self::new(width);
+        for flit in flits {
+            assert_eq!(flit.width(), width, "flit width differs from the stream's");
+            let first = out.push_zeroed(1) * out.words_per_flit;
+            for (w, word) in out.words[first..].iter_mut().enumerate() {
+                let offset = w as u32 * 64;
+                *word = flit.field(offset, (width - offset).min(64));
+            }
+        }
+        out
+    }
+
+    /// Link width in bits.
+    #[must_use]
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Number of flits.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.words.len() / self.words_per_flit
+    }
+
+    /// True when the stream holds no flit.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The packed words of flit `index`.
+    fn flit(&self, index: usize) -> &[u64] {
+        let k = self.words_per_flit;
+        &self.words[index * k..(index + 1) * k]
+    }
+
+    /// The flits as [`PayloadBits`] images, for the link-encoding APIs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width exceeds [`btr_bits::payload::MAX_WIDTH_BITS`].
+    #[must_use]
+    pub fn to_payloads(&self) -> Vec<PayloadBits> {
+        self.words
+            .chunks_exact(self.words_per_flit)
+            .map(|words| {
+                let mut flit = PayloadBits::zero(self.width);
+                for (w, &word) in words.iter().enumerate() {
+                    let offset = w as u32 * 64;
+                    flit.set_field(offset, (self.width - offset).min(64), word);
+                }
+                flit
+            })
+            .collect()
+    }
+
+    /// Appends `count` all-zero flits, returning the index of the first.
+    fn push_zeroed(&mut self, count: usize) -> usize {
+        let first = self.len();
+        self.words
+            .resize(self.words.len() + count * self.words_per_flit, 0);
+        first
+    }
+
+    /// ORs the low `len` bits of `value` into flit `flit` at bit `offset`;
+    /// a field may straddle a word boundary.
+    #[inline]
+    fn or_field(&mut self, flit: usize, offset: u32, len: u32, value: u64) {
+        debug_assert!(offset + len <= self.width, "field exceeds the flit width");
+        let value = if len == 64 {
+            value
+        } else {
+            value & ((1u64 << len) - 1)
+        };
+        let word = flit * self.words_per_flit + (offset / 64) as usize;
+        let bit = offset % 64;
+        self.words[word] |= value << bit;
+        if bit + len > 64 {
+            self.words[word + 1] |= value >> (64 - bit);
+        }
+    }
+
+    /// Reads the `len`-bit field (`len <= 64`) of flit `flit` at `offset`.
+    fn field(&self, flit: usize, offset: u32, len: u32) -> u64 {
+        let words = self.flit(flit);
+        let word = (offset / 64) as usize;
+        let bit = offset % 64;
+        let mut value = words[word] >> bit;
+        if bit + len > 64 {
+            value |= words[word + 1] << (64 - bit);
+        }
+        if len == 64 {
+            value
+        } else {
+            value & ((1u64 << len) - 1)
+        }
+    }
+}
+
 /// Builds the flit stream for `packets`, optionally ordered per window.
 ///
 /// Baseline (`ordered == false`): each packet is flitized row-major with
-/// zero padding in its tail flit. Ordered: the values of each
-/// `window_packets`-packet group are pooled, sorted descending by
-/// popcount, and dealt into the **occupied** slots of the window's flits
-/// (padding slots stay zero in place), per the configured placement.
+/// zero padding in its tail flit (an empty packet contributes no flit).
+/// Ordered: the values of each `window_packets`-packet group are pooled,
+/// sorted descending by popcount, and dealt into the **occupied** slots
+/// of the window's flits (padding slots stay zero in place), per the
+/// configured placement.
 ///
 /// # Panics
 ///
@@ -104,32 +250,58 @@ pub fn build_stream_flits<W: DataWord>(
     packets: &[Vec<W>],
     config: &WindowConfig,
     ordered: bool,
-) -> Vec<PayloadBits> {
+) -> StreamFlits {
     assert!(
         config.values_per_flit > 0,
         "values_per_flit must be positive"
     );
     assert!(config.window_packets > 0, "window_packets must be positive");
     let vpf = config.values_per_flit;
-    let mut flits = Vec::new();
-    for window in packets.chunks(config.window_packets) {
-        if !ordered {
-            for packet in window {
-                flits.extend(flitize_values(packet, vpf, false));
+    let mut flits = StreamFlits::new(vpf as u32 * W::WIDTH);
+    if !ordered {
+        let total: usize = packets.iter().map(|p| p.len().div_ceil(vpf)).sum();
+        flits.push_zeroed(total);
+        let mut f = 0;
+        for packet in packets {
+            for chunk in packet.chunks(vpf) {
+                for (s, v) in chunk.iter().enumerate() {
+                    flits.or_field(f, s as u32 * W::WIDTH, W::WIDTH, v.bits_u64());
+                }
+                f += 1;
             }
-            continue;
         }
+        return flits;
+    }
+    // One set of window buffers for the whole stream.
+    let mut occupancy = Vec::new();
+    let mut values: Vec<W> = Vec::new();
+    let mut perm = Vec::new();
+    let mut assign = Vec::new();
+    let mut scratch = SortScratch::default();
+    for window in packets.chunks(config.window_packets) {
         // Occupied-slot layout of the window: per-packet row-major shape,
         // padding at each packet's tail flit ("we do not order the padded
-        // zeros"); packing shared with the rest of the transport pipeline.
-        let occupancy = window_occupancy(window.iter().map(Vec::len), vpf);
-        let values: Vec<W> = window.iter().flatten().copied().collect();
-        let perm = config.tiebreak.descending_order(&values);
-        let assign: Vec<(usize, usize)> = match config.placement {
-            Placement::RoundRobin => round_robin_assignment(&occupancy),
-            Placement::RowMajor => row_major_assignment(&occupancy),
-        };
-        flits.extend(pack_values(&values, &occupancy, &assign, &perm, vpf));
+        // zeros"); the layout helpers are shared with the transport
+        // pipeline.
+        window_occupancy_into(window.iter().map(Vec::len), vpf, &mut occupancy);
+        values.clear();
+        values.extend(window.iter().flatten().copied());
+        config
+            .tiebreak
+            .descending_order_into(&values, &mut scratch, &mut perm);
+        match config.placement {
+            Placement::RoundRobin => round_robin_assignment_into(&occupancy, &mut assign),
+            Placement::RowMajor => row_major_assignment_into(&occupancy, &mut assign),
+        }
+        let base = flits.push_zeroed(occupancy.len());
+        for (&orig, &(f, s)) in perm.iter().zip(&assign) {
+            flits.or_field(
+                base + f,
+                s as u32 * W::WIDTH,
+                W::WIDTH,
+                values[orig].bits_u64(),
+            );
+        }
     }
     flits
 }
@@ -157,72 +329,178 @@ pub struct StreamReport {
 /// With [`Comparison::Consecutive`] the transitions of each consecutive
 /// pair accumulate (Fig. 8 recorder); with [`Comparison::RandomPairs`]
 /// uniformly sampled pairs are compared and `bt_per_flit` is the mean BT
-/// per sampled pair.
+/// per sampled pair. Fewer than two flits (or zero sampled pairs) give a
+/// zero report with an empty probability vector.
+///
+/// # Panics
+///
+/// Panics if the stream's width is not `values_per_flit × W::WIDTH`.
 #[must_use]
 pub fn measure_flits<W: DataWord>(
-    flits: &[PayloadBits],
+    flits: &StreamFlits,
     values_per_flit: usize,
     comparison: Comparison,
     grid_rows: usize,
 ) -> StreamReport {
     let width = values_per_flit as u32 * W::WIDTH;
-    let grid: Vec<Vec<u32>> = flits
-        .iter()
-        .take(grid_rows)
-        .map(|f| flit_popcounts::<W>(f, values_per_flit))
+    assert_eq!(
+        flits.width(),
+        width,
+        "stream width must be values_per_flit × W::WIDTH"
+    );
+    let grid: Vec<Vec<u32>> = (0..flits.len().min(grid_rows))
+        .map(|f| {
+            (0..values_per_flit)
+                .map(|s| flits.field(f, s as u32 * W::WIDTH, W::WIDTH).count_ones())
+                .collect()
+        })
         .collect();
-
-    match comparison {
-        Comparison::Consecutive => {
-            let mut recorder = TransitionRecorder::new(width);
-            for flit in flits {
-                recorder.observe(flit);
-            }
-            let per_link = recorder.per_position_probability();
-            StreamReport {
-                flits: recorder.flits(),
-                transitions: recorder.total(),
-                bt_per_flit: recorder.transitions_per_flit(),
-                word_transition_probability: fold_to_word_width(&per_link, W::WIDTH),
-                popcount_grid: grid,
-            }
+    let n = flits.len();
+    let (pairs, per_wire) = match comparison {
+        Comparison::Consecutive if n >= 2 => {
+            (n - 1, count_pairs(flits, (1..n).map(|b| (b - 1, b))))
         }
-        Comparison::RandomPairs { pairs, seed } => {
-            if flits.len() < 2 || pairs == 0 {
-                return StreamReport {
-                    flits: flits.len() as u64,
-                    transitions: 0,
-                    bt_per_flit: 0.0,
-                    word_transition_probability: Vec::new(),
-                    popcount_grid: grid,
-                };
-            }
+        Comparison::RandomPairs { pairs, seed } if n >= 2 && pairs > 0 => {
+            // Exactly the draws of the reference sampler: `a` uniform over
+            // all flits, `b` uniform over the others.
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut total = 0u64;
-            let mut per_position = vec![0u64; width as usize];
-            for _ in 0..pairs {
-                let a = rng.gen_range(0..flits.len());
-                let mut b = rng.gen_range(0..flits.len() - 1);
+            let sampled = (0..pairs).map(move |_| {
+                let a = rng.gen_range(0..n);
+                let mut b = rng.gen_range(0..n - 1);
                 if b >= a {
                     b += 1;
                 }
-                let diff = flits[a].xor(&flits[b]);
-                total += u64::from(diff.popcount());
-                // O(popcount), not O(width): only toggling wires count.
-                diff.for_each_set_bit(|i| per_position[i as usize] += 1);
-            }
-            let probs: Vec<f64> = per_position
-                .iter()
-                .map(|&c| c as f64 / pairs as f64)
-                .collect();
-            StreamReport {
-                flits: flits.len() as u64,
-                transitions: total,
-                bt_per_flit: total as f64 / pairs as f64,
-                word_transition_probability: fold_to_word_width(&probs, W::WIDTH),
+                (a, b)
+            });
+            (pairs, count_pairs(flits, sampled))
+        }
+        _ => {
+            return StreamReport {
+                flits: n as u64,
+                transitions: 0,
+                bt_per_flit: 0.0,
+                word_transition_probability: Vec::new(),
                 popcount_grid: grid,
             }
         }
+    };
+    let transitions: u64 = per_wire.iter().sum();
+    let probs: Vec<f64> = per_wire[..width as usize]
+        .iter()
+        .map(|&c| c as f64 / pairs as f64)
+        .collect();
+    StreamReport {
+        flits: n as u64,
+        transitions,
+        bt_per_flit: transitions as f64 / pairs as f64,
+        word_transition_probability: fold_to_word_width(&probs, W::WIDTH),
+        popcount_grid: grid,
+    }
+}
+
+/// Bit planes per vertical counter: each wire counts to `2^PLANES − 1`.
+const PLANES: usize = 8;
+/// Pairs accumulated between flushes — the most an 8-plane counter holds.
+const FLUSH_EVERY: u32 = (1 << PLANES) - 1;
+
+/// The shared pair kernel: toggles per wire over all `pairs`, in
+/// `words_per_flit × 64` entries (wires above the width stay zero). The
+/// diff words go into bit-sliced counters; the pair total is the sum of
+/// the result, so no per-pair popcount is needed. Monomorphized on the
+/// common flit sizes so the per-word loops unroll.
+fn count_pairs(flits: &StreamFlits, pairs: impl Iterator<Item = (usize, usize)>) -> Vec<u64> {
+    match flits.words_per_flit {
+        1 => count_pairs_fixed::<1>(&flits.words, pairs),
+        2 => count_pairs_fixed::<2>(&flits.words, pairs),
+        4 => count_pairs_fixed::<4>(&flits.words, pairs),
+        8 => count_pairs_fixed::<8>(&flits.words, pairs),
+        k => {
+            let mut counter = WireCounter::new(k);
+            for (a, b) in pairs {
+                counter.add(
+                    &flits.words[a * k..(a + 1) * k],
+                    &flits.words[b * k..(b + 1) * k],
+                );
+            }
+            counter.finish()
+        }
+    }
+}
+
+fn count_pairs_fixed<const K: usize>(
+    words: &[u64],
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> Vec<u64> {
+    let mut counter = WireCounter::new(K);
+    for (a, b) in pairs {
+        let x: &[u64; K] = words[a * K..(a + 1) * K]
+            .try_into()
+            .expect("flit slices are K words");
+        let y: &[u64; K] = words[b * K..(b + 1) * K]
+            .try_into()
+            .expect("flit slices are K words");
+        counter.add(x, y);
+    }
+    counter.finish()
+}
+
+/// Bit-sliced per-wire toggle counters over `words_per_flit` words.
+struct WireCounter {
+    /// `planes[w][k]`: bit `k` of the pending count of wire `64·w + i`
+    /// sits at bit `i`.
+    planes: Vec<[u64; PLANES]>,
+    pending: u32,
+    per_wire: Vec<u64>,
+}
+
+impl WireCounter {
+    fn new(words_per_flit: usize) -> Self {
+        Self {
+            planes: vec![[0; PLANES]; words_per_flit],
+            pending: 0,
+            per_wire: vec![0; words_per_flit * 64],
+        }
+    }
+
+    /// Adds one pair's toggles (`a XOR b`, word by word): a ripple-carry
+    /// increment of every toggling wire's counter.
+    #[inline(always)]
+    fn add(&mut self, a: &[u64], b: &[u64]) {
+        for ((&x, &y), planes) in a.iter().zip(b).zip(self.planes.iter_mut()) {
+            let mut carry = x ^ y;
+            for plane in planes.iter_mut() {
+                let next = *plane & carry;
+                *plane ^= carry;
+                carry = next;
+            }
+        }
+        self.pending += 1;
+        if self.pending == FLUSH_EVERY {
+            self.flush();
+        }
+    }
+
+    /// Moves the pending counts into `per_wire` and clears the planes.
+    fn flush(&mut self) {
+        for (planes, wires) in self
+            .planes
+            .iter_mut()
+            .zip(self.per_wire.chunks_exact_mut(64))
+        {
+            for (k, plane) in planes.iter_mut().enumerate() {
+                let mut bits = std::mem::take(plane);
+                while bits != 0 {
+                    wires[bits.trailing_zeros() as usize] += 1 << k;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.pending = 0;
+    }
+
+    fn finish(mut self) -> Vec<u64> {
+        self.flush();
+        self.per_wire
     }
 }
 
@@ -285,13 +563,6 @@ pub fn evaluate_stream<W: DataWord>(
         Comparison::Consecutive,
         grid_rows,
     )
-}
-
-/// Popcount of each value lane in a flit image.
-fn flit_popcounts<W: DataWord>(flit: &PayloadBits, values_per_flit: usize) -> Vec<u32> {
-    (0..values_per_flit)
-        .map(|s| flit.field(s as u32 * W::WIDTH, W::WIDTH).count_ones())
-        .collect()
 }
 
 /// Overlays all value lanes of a link onto word-width bit positions by
@@ -478,8 +749,8 @@ mod tests {
             let ord = build_stream_flits(&packets, &config, true);
             assert_eq!(base.len(), ord.len(), "{placement:?}");
             // Same value multiset: total popcount is invariant.
-            let pc = |fs: &[btr_bits::PayloadBits]| -> u64 {
-                fs.iter().map(|f| u64::from(f.popcount())).sum()
+            let pc = |fs: &StreamFlits| -> u64 {
+                fs.words.iter().map(|w| u64::from(w.count_ones())).sum()
             };
             assert_eq!(pc(&base), pc(&ord), "{placement:?}");
         }
@@ -496,9 +767,9 @@ mod tests {
         };
         let flits = build_stream_flits(&packets, &config, true);
         let mut prev = u32::MAX;
-        for f in &flits {
+        for f in 0..flits.len() {
             for s in 0..8u32 {
-                let pc = (f.field(s * 8, 8) as u8).count_ones();
+                let pc = flits.field(f, s * 8, 8).count_ones();
                 assert!(pc <= prev, "global descending order violated");
                 prev = pc;
             }
@@ -562,15 +833,265 @@ mod tests {
 
     #[test]
     fn measure_flits_handles_degenerate_inputs() {
-        let flits: Vec<btr_bits::PayloadBits> = Vec::new();
+        let flits = StreamFlits::new(64);
         let r =
             measure_flits::<Fx8Word>(&flits, 8, Comparison::RandomPairs { pairs: 10, seed: 0 }, 0);
         assert_eq!(r.transitions, 0);
-        let one = vec![btr_bits::PayloadBits::zero(64)];
+        let one = StreamFlits::from_payloads(64, &[PayloadBits::zero(64)]);
         let r =
             measure_flits::<Fx8Word>(&one, 8, Comparison::RandomPairs { pairs: 10, seed: 0 }, 2);
         assert_eq!(r.bt_per_flit, 0.0);
         assert_eq!(r.popcount_grid.len(), 1);
+    }
+
+    /// The reference stream builder: per-packet `flitize_values` for the
+    /// baseline, `pack_values` over the window for the ordered stream —
+    /// one 1024-bit image per flit.
+    fn oracle_build<W: DataWord>(
+        packets: &[Vec<W>],
+        config: &WindowConfig,
+        ordered: bool,
+    ) -> Vec<PayloadBits> {
+        use crate::flitize::flitize_values;
+        use crate::ordering::round_robin_assignment;
+        use crate::transport::{pack_values, row_major_assignment, window_occupancy};
+        let vpf = config.values_per_flit;
+        let mut flits = Vec::new();
+        for window in packets.chunks(config.window_packets) {
+            if !ordered {
+                for packet in window {
+                    flits.extend(flitize_values(packet, vpf, false));
+                }
+                continue;
+            }
+            let occupancy = window_occupancy(window.iter().map(Vec::len), vpf);
+            let values: Vec<W> = window.iter().flatten().copied().collect();
+            let perm = config.tiebreak.descending_order(&values);
+            let assign = match config.placement {
+                Placement::RoundRobin => round_robin_assignment(&occupancy),
+                Placement::RowMajor => row_major_assignment(&occupancy),
+            };
+            flits.extend(pack_values(&values, &occupancy, &assign, &perm, vpf));
+        }
+        flits
+    }
+
+    /// The reference measurement: a `TransitionRecorder` for consecutive
+    /// flits, an `xor` copy plus a `for_each_set_bit` walk per sampled
+    /// pair. Returns (transitions, bt_per_flit, folded probabilities).
+    fn oracle_measure<W: DataWord>(
+        flits: &[PayloadBits],
+        values_per_flit: usize,
+        comparison: Comparison,
+    ) -> (u64, f64, Vec<f64>) {
+        use btr_bits::transition::TransitionRecorder;
+        let width = values_per_flit as u32 * W::WIDTH;
+        match comparison {
+            Comparison::Consecutive => {
+                let mut recorder = TransitionRecorder::new(width);
+                for flit in flits {
+                    recorder.observe(flit);
+                }
+                let per_link = recorder.per_position_probability();
+                (
+                    recorder.total(),
+                    recorder.transitions_per_flit(),
+                    fold_to_word_width(&per_link, W::WIDTH),
+                )
+            }
+            Comparison::RandomPairs { pairs, seed } => {
+                if flits.len() < 2 || pairs == 0 {
+                    return (0, 0.0, Vec::new());
+                }
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut total = 0u64;
+                let mut per_position = vec![0u64; width as usize];
+                for _ in 0..pairs {
+                    let a = rng.gen_range(0..flits.len());
+                    let mut b = rng.gen_range(0..flits.len() - 1);
+                    if b >= a {
+                        b += 1;
+                    }
+                    let diff = flits[a].xor(&flits[b]);
+                    total += u64::from(diff.popcount());
+                    diff.for_each_set_bit(|i| per_position[i as usize] += 1);
+                }
+                let probs: Vec<f64> = per_position
+                    .iter()
+                    .map(|&c| c as f64 / pairs as f64)
+                    .collect();
+                (
+                    total,
+                    total as f64 / pairs as f64,
+                    fold_to_word_width(&probs, W::WIDTH),
+                )
+            }
+        }
+    }
+
+    /// Asserts the packed kernel reproduces the oracle bit for bit.
+    fn assert_matches_oracle<W: DataWord>(
+        flits: &[PayloadBits],
+        values_per_flit: usize,
+        comparison: Comparison,
+    ) {
+        let width = values_per_flit as u32 * W::WIDTH;
+        let packed = StreamFlits::from_payloads(width, flits);
+        let got = measure_flits::<W>(&packed, values_per_flit, comparison, 0);
+        let (transitions, bt_per_flit, probs) =
+            oracle_measure::<W>(flits, values_per_flit, comparison);
+        let ctx = format!("width {width}, {} flits, {comparison:?}", flits.len());
+        assert_eq!(got.flits, flits.len() as u64, "{ctx}");
+        assert_eq!(got.transitions, transitions, "{ctx}");
+        assert_eq!(got.bt_per_flit.to_bits(), bt_per_flit.to_bits(), "{ctx}");
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.word_transition_probability),
+            bits(&probs),
+            "{ctx}"
+        );
+    }
+
+    /// `count` random `width`-bit images with a per-flit density, so wires
+    /// see both sparse and dense toggling.
+    fn random_images(count: usize, width: u32, seed: u64) -> Vec<PayloadBits> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let mut flit = PayloadBits::zero(width);
+                let density = rng.gen_range(0..4u32);
+                for w in 0..width.div_ceil(64) {
+                    let len = (width - w * 64).min(64);
+                    let mut v: u64 = rng.gen();
+                    for _ in 0..density {
+                        v &= rng.gen::<u64>();
+                    }
+                    flit.set_field(w * 64, len, v);
+                }
+                flit
+            })
+            .collect()
+    }
+
+    /// Link widths 24, 64, 160, 256 and 512 bits (1, 3, 4 and 8 words per
+    /// flit, partial last words included) as `(W, values_per_flit)`.
+    fn check_all_widths(flits_for: impl Fn(u32) -> Vec<PayloadBits>, comparison: Comparison) {
+        use btr_bits::word::F32Word;
+        for vpf in [3, 8, 64] {
+            assert_matches_oracle::<Fx8Word>(&flits_for(vpf as u32 * 8), vpf, comparison);
+        }
+        for vpf in [5, 8, 16] {
+            assert_matches_oracle::<F32Word>(&flits_for(vpf as u32 * 32), vpf, comparison);
+        }
+    }
+
+    #[test]
+    fn random_pairs_kernel_matches_oracle_across_widths_and_flush_boundaries() {
+        for pairs in [0, 1, 254, 255, 256, 10_000] {
+            let comparison = Comparison::RandomPairs { pairs, seed: 11 };
+            check_all_widths(|width| random_images(300, width, 3), comparison);
+            // Two complementary flits: every pair toggles every wire, so
+            // each counter climbs by one per pair and crosses every flush.
+            check_all_widths(
+                |width| {
+                    let zero = PayloadBits::zero(width);
+                    vec![zero, zero.invert()]
+                },
+                comparison,
+            );
+        }
+    }
+
+    #[test]
+    fn consecutive_kernel_matches_oracle_across_widths_and_flush_boundaries() {
+        for count in [0, 1, 2, 255, 256, 257, 600] {
+            check_all_widths(
+                |width| random_images(count, width, 4),
+                Comparison::Consecutive,
+            );
+            // Alternating complements toggle every wire on every boundary.
+            check_all_widths(
+                |width| {
+                    let zero = PayloadBits::zero(width);
+                    (0..count)
+                        .map(|i| if i % 2 == 0 { zero } else { zero.invert() })
+                        .collect()
+                },
+                Comparison::Consecutive,
+            );
+        }
+    }
+
+    #[test]
+    fn short_streams_match_oracle_under_random_pairs() {
+        for count in [0, 1] {
+            check_all_widths(
+                |width| random_images(count, width, 5),
+                Comparison::RandomPairs {
+                    pairs: 100,
+                    seed: 1,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn packed_builder_matches_payload_oracle() {
+        use btr_bits::word::F32Word;
+        // Ragged packets, including an empty one (the baseline drops it;
+        // the ordered window keeps its all-padding flit).
+        let lens = [25, 7, 0, 8, 16, 3, 25, 25, 1, 9];
+        let mut rng = StdRng::seed_from_u64(9);
+        let fx8: Vec<Vec<Fx8Word>> = lens
+            .iter()
+            .map(|&n| (0..n).map(|_| Fx8Word::new(rng.gen())).collect())
+            .collect();
+        let f32s: Vec<Vec<F32Word>> = lens
+            .iter()
+            .map(|&n| (0..n).map(|_| F32Word::from_bits(rng.gen())).collect())
+            .collect();
+        for vpf in [3, 8, 16] {
+            for window_packets in [1, 3, 64] {
+                for placement in [Placement::RoundRobin, Placement::RowMajor] {
+                    for tiebreak in [TieBreak::Stable, TieBreak::Value] {
+                        let config = WindowConfig {
+                            values_per_flit: vpf,
+                            window_packets,
+                            placement,
+                            tiebreak,
+                        };
+                        for ordered in [false, true] {
+                            let ctx = format!("{config:?} ordered {ordered}");
+                            assert_eq!(
+                                build_stream_flits(&fx8, &config, ordered).to_payloads(),
+                                oracle_build(&fx8, &config, ordered),
+                                "fx8 {ctx}"
+                            );
+                            assert_eq!(
+                                build_stream_flits(&f32s, &config, ordered).to_payloads(),
+                                oracle_build(&f32s, &config, ordered),
+                                "f32 {ctx}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payload_round_trip_and_fields() {
+        for width in [24, 64, 160, 256, 512] {
+            let images = random_images(20, width, 6);
+            let packed = StreamFlits::from_payloads(width, &images);
+            assert_eq!(packed.len(), 20);
+            assert_eq!(packed.flit(3).len(), width.div_ceil(64) as usize);
+            assert_eq!(packed.to_payloads(), images);
+            // A 24-bit lane straddles words at offset 48.
+            if width >= 72 {
+                assert_eq!(packed.field(7, 48, 24), images[7].field(48, 24));
+            }
+        }
     }
 
     #[test]

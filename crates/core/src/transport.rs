@@ -22,7 +22,9 @@
 //!   [`row_major_assignment`], [`pack_values`],
 //!   [`pack_window_with_order`]) — the one copy of the
 //!   "occupancy → permutation → slot assignment → flit images" pipeline
-//!   that both the packet path and the weight-stream path are built on;
+//!   the packet path is built on; the weight-stream path
+//!   ([`crate::stream`]) shares its occupancy and assignment steps and
+//!   renders straight into packed flit words;
 //! * [`link_recorder`] / [`record_stream`] — the measurement end of the
 //!   lifecycle: a per-link [`TransitionRecorder`] observing the encoded
 //!   flits (Fig. 8).
@@ -974,11 +976,18 @@ pub fn record_stream(recorder: &mut TransitionRecorder, flits: &[PayloadBits]) -
 /// Panics if `values_per_flit == 0`.
 #[must_use]
 pub fn packet_occupancy(len: usize, values_per_flit: usize) -> Vec<usize> {
+    let mut occupancy = Vec::new();
+    extend_packet_occupancy(len, values_per_flit, &mut occupancy);
+    occupancy
+}
+
+/// Appends [`packet_occupancy`]`(len, values_per_flit)` to `out`.
+fn extend_packet_occupancy(len: usize, values_per_flit: usize, out: &mut Vec<usize>) {
     assert!(values_per_flit > 0, "values_per_flit must be positive");
     let num_flits = len.div_ceil(values_per_flit).max(1);
-    (0..num_flits)
-        .map(|f| len.saturating_sub(f * values_per_flit).min(values_per_flit))
-        .collect()
+    out.extend(
+        (0..num_flits).map(|f| len.saturating_sub(f * values_per_flit).min(values_per_flit)),
+    );
 }
 
 /// Occupancy of a window of packets: each packet keeps its own row-major
@@ -993,10 +1002,25 @@ pub fn window_occupancy(
     values_per_flit: usize,
 ) -> Vec<usize> {
     let mut occupancy = Vec::new();
-    for len in lens {
-        occupancy.extend(packet_occupancy(len, values_per_flit));
-    }
+    window_occupancy_into(lens, values_per_flit, &mut occupancy);
     occupancy
+}
+
+/// [`window_occupancy`] into a caller-owned buffer (cleared first), so
+/// per-window loops reuse one allocation.
+///
+/// # Panics
+///
+/// Panics if `values_per_flit == 0`.
+pub(crate) fn window_occupancy_into(
+    lens: impl IntoIterator<Item = usize>,
+    values_per_flit: usize,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    for len in lens {
+        extend_packet_occupancy(len, values_per_flit, out);
+    }
 }
 
 /// Row-major slot assignment over an occupancy: rank `r` goes to the
@@ -1004,13 +1028,18 @@ pub fn window_occupancy(
 /// [`crate::stream::Placement::RowMajor`] ordered layout).
 #[must_use]
 pub fn row_major_assignment(occupancy: &[usize]) -> Vec<(usize, usize)> {
-    let mut assign = Vec::with_capacity(occupancy.iter().sum());
-    for (f, &occ) in occupancy.iter().enumerate() {
-        for s in 0..occ {
-            assign.push((f, s));
-        }
-    }
+    let mut assign = Vec::new();
+    row_major_assignment_into(occupancy, &mut assign);
     assign
+}
+
+/// [`row_major_assignment`] into a caller-owned buffer (cleared first).
+pub(crate) fn row_major_assignment_into(occupancy: &[usize], assign: &mut Vec<(usize, usize)>) {
+    assign.clear();
+    assign.reserve(occupancy.iter().sum());
+    for (f, &occ) in occupancy.iter().enumerate() {
+        assign.extend((0..occ).map(|s| (f, s)));
+    }
 }
 
 /// Packs one window of packets with an arbitrary ordering rule: the

@@ -1322,6 +1322,67 @@ mod tests {
     }
 
     #[test]
+    fn idle_steps_equal_a_clock_jump() {
+        use btr_core::codec::CodecKind;
+        // A drained mesh holds no flit anywhere, so `k` empty steps and
+        // `advance_cycle_to(cycle + k)` must leave identical statistics
+        // and identical follow-on traffic (timing, payloads, per-link
+        // BTs, persistent codec lanes) — what the hybrid response
+        // phase's idle skip relies on.
+        let traffic = |seed: u64, count: u64| -> Vec<Packet> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..count)
+                .map(|tag| {
+                    let payload: Vec<PayloadBits> = (0..rng.gen_range(1..5))
+                        .map(|_| image(130, rng.gen()))
+                        .collect();
+                    Packet::new(rng.gen_range(0..16), rng.gen_range(0..16), payload, tag)
+                })
+                .collect()
+        };
+        for codec in [None, Some(CodecKind::DeltaXor)] {
+            let config = NocConfig::mesh(4, 4, 130).with_link_codec(codec);
+            let (mut stepped, mut jumped) = (
+                Simulator::new(config.clone()),
+                Simulator::new(config.clone()),
+            );
+            for sim in [&mut stepped, &mut jumped] {
+                for p in traffic(5, 60) {
+                    sim.inject(p).unwrap();
+                }
+                sim.run_until_idle(100_000).unwrap();
+            }
+            let k = 37;
+            for _ in 0..k {
+                stepped.step();
+            }
+            jumped.advance_cycle_to(jumped.cycle() + k);
+            assert_eq!(
+                format!("{:?}", stepped.stats()),
+                format!("{:?}", jumped.stats())
+            );
+            for sim in [&mut stepped, &mut jumped] {
+                for p in traffic(6, 40) {
+                    sim.inject(p).unwrap();
+                }
+                sim.run_until_idle(100_000).unwrap();
+            }
+            assert_eq!(
+                format!("{:?}", stepped.stats()),
+                format!("{:?}", jumped.stats())
+            );
+            assert_eq!(stepped.drain_all_delivered(), jumped.drain_all_delivered());
+            for link in 0..16 * NUM_PORTS {
+                assert_eq!(
+                    format!("{:?}", stepped.out_link_codec_lanes(link)),
+                    format!("{:?}", jumped.out_link_codec_lanes(link)),
+                    "link {link}"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "legacy oracle models raw wires")]
     fn legacy_engine_rejects_per_link_codecs() {
         use btr_core::codec::CodecKind;

@@ -73,8 +73,8 @@ fn value_tiebreak_dominates_stable_on_concentrated_data() {
 fn ordering_composes_with_bus_invert() {
     let packets = trained_like_packets(200, 4);
     let config = WindowConfig::table1();
-    let baseline = build_stream_flits(&packets, &config, false);
-    let ordered = build_stream_flits(&packets, &config, true);
+    let baseline = build_stream_flits(&packets, &config, false).to_payloads();
+    let ordered = build_stream_flits(&packets, &config, true).to_payloads();
     let raw = unencoded(&baseline).transitions;
     let ord = unencoded(&ordered).transitions;
     let ord_bi = bus_invert(&ordered).total();
@@ -90,7 +90,7 @@ fn delta_encoding_roundtrips_ordered_streams() {
         placement: Placement::RowMajor,
         ..WindowConfig::table1()
     };
-    let ordered = build_stream_flits(&packets, &config, true);
+    let ordered = build_stream_flits(&packets, &config, true).to_payloads();
     let wire = delta_xor_wire_stream(&ordered);
     assert_eq!(delta_xor_decode(&wire), ordered);
 }
@@ -101,7 +101,10 @@ fn measure_flits_consecutive_matches_unencoded_count() {
     let config = WindowConfig::table1();
     let flits = build_stream_flits(&packets, &config, true);
     let report = measure_flits::<Fx8Word>(&flits, 8, Comparison::Consecutive, 0);
-    assert_eq!(report.transitions, unencoded(&flits).transitions);
+    assert_eq!(
+        report.transitions,
+        unencoded(&flits.to_payloads()).transitions
+    );
 }
 
 #[test]
