@@ -406,40 +406,11 @@ const FLUSH_EVERY: u32 = (1 << PLANES) - 1;
 /// The shared pair kernel: toggles per wire over all `pairs`, in
 /// `words_per_flit × 64` entries (wires above the width stay zero). The
 /// diff words go into bit-sliced counters; the pair total is the sum of
-/// the result, so no per-pair popcount is needed. Monomorphized on the
-/// common flit sizes so the per-word loops unroll.
+/// the result, so no per-pair popcount is needed.
 fn count_pairs(flits: &StreamFlits, pairs: impl Iterator<Item = (usize, usize)>) -> Vec<u64> {
-    match flits.words_per_flit {
-        1 => count_pairs_fixed::<1>(&flits.words, pairs),
-        2 => count_pairs_fixed::<2>(&flits.words, pairs),
-        4 => count_pairs_fixed::<4>(&flits.words, pairs),
-        8 => count_pairs_fixed::<8>(&flits.words, pairs),
-        k => {
-            let mut counter = WireCounter::new(k);
-            for (a, b) in pairs {
-                counter.add(
-                    &flits.words[a * k..(a + 1) * k],
-                    &flits.words[b * k..(b + 1) * k],
-                );
-            }
-            counter.finish()
-        }
-    }
-}
-
-fn count_pairs_fixed<const K: usize>(
-    words: &[u64],
-    pairs: impl Iterator<Item = (usize, usize)>,
-) -> Vec<u64> {
-    let mut counter = WireCounter::new(K);
+    let mut counter = WireCounter::new(flits.words_per_flit);
     for (a, b) in pairs {
-        let x: &[u64; K] = words[a * K..(a + 1) * K]
-            .try_into()
-            .expect("flit slices are K words");
-        let y: &[u64; K] = words[b * K..(b + 1) * K]
-            .try_into()
-            .expect("flit slices are K words");
-        counter.add(x, y);
+        counter.add(flits.flit(a), flits.flit(b));
     }
     counter.finish()
 }

@@ -95,20 +95,7 @@ fn main() {
 /// round-trip CI relies on), prints per-input throughput, and in smoke
 /// mode asserts pipelined ≥ sync throughput at equal batch.
 fn report_speedups(smoke: bool) {
-    let dir = std::env::var("BTR_BENCH_JSON_DIR").unwrap_or_else(|_| {
-        // Mirror the bench harness default: workspace target/btr-bench.
-        let mut probe = std::env::current_dir().expect("cwd");
-        loop {
-            if probe.join("Cargo.lock").exists() {
-                return probe
-                    .join("target/btr-bench")
-                    .to_string_lossy()
-                    .into_owned();
-            }
-            assert!(probe.pop(), "no workspace root above cwd");
-        }
-    });
-    let path = std::path::Path::new(&dir).join("BENCH_driver.json");
+    let path = criterion::json_dir().join("BENCH_driver.json");
     let text = std::fs::read_to_string(&path).expect("bench JSON written");
     let doc = Json::parse(&text).expect("bench JSON parses");
     assert_eq!(

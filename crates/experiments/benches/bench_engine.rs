@@ -354,25 +354,10 @@ fn main() {
     }
 }
 
-/// Locates the bench-JSON directory the harness wrote to (mirroring its
-/// default: workspace `target/btr-bench`).
-fn bench_json_dir() -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("BTR_BENCH_JSON_DIR") {
-        return dir.into();
-    }
-    let mut probe = std::env::current_dir().expect("cwd");
-    loop {
-        if probe.join("Cargo.lock").exists() {
-            return probe.join("target/btr-bench");
-        }
-        assert!(probe.pop(), "no workspace root above cwd");
-    }
-}
-
 /// Reads one `BENCH_<group>.json` back (exercising the round-trip CI
 /// relies on) and returns a metric lookup over its results.
 fn bench_metrics(group: &str) -> impl Fn(&str, &str) -> f64 {
-    let path = bench_json_dir().join(format!("BENCH_{group}.json"));
+    let path = criterion::json_dir().join(format!("BENCH_{group}.json"));
     let text = std::fs::read_to_string(&path).expect("bench JSON written");
     let doc = Json::parse(&text).expect("bench JSON parses");
     assert_eq!(

@@ -10,7 +10,7 @@
 //!
 //! Writes `BENCH_table1.json` (schema `btr-bench-v1`) and prints the hart
 //! count. `BTR_BENCH_TABLE1_SMOKE=1` shrinks sample counts and reads the
-//! JSON back to check every point is present; there is no speed gate.
+//! JSON back to check its schema; there is no speed gate.
 
 use btr_bits::word::DataWord;
 use btr_core::stream::{compare_streams, compare_windowed, Comparison, WindowConfig};
@@ -63,37 +63,15 @@ fn bench_format<W: DataWord>(group: &mut BenchmarkGroup<'_>, format: &str, pool:
     });
 }
 
-/// Reads `BENCH_table1.json` back and checks its schema and points.
+/// Reads `BENCH_table1.json` back and checks it parses under the bench
+/// schema (CI greps it for the point names).
 fn check_written(harts: usize) {
-    let dir = std::env::var("BTR_BENCH_JSON_DIR").map_or_else(
-        |_| {
-            let mut probe = std::env::current_dir().expect("cwd");
-            while !probe.join("Cargo.lock").exists() {
-                assert!(probe.pop(), "no workspace root above cwd");
-            }
-            probe.join("target/btr-bench")
-        },
-        std::path::PathBuf::from,
-    );
-    let text = std::fs::read_to_string(dir.join("BENCH_table1.json")).expect("bench JSON written");
+    let text = std::fs::read_to_string(criterion::json_dir().join("BENCH_table1.json"))
+        .expect("bench JSON written");
     let doc = Json::parse(&text).expect("bench JSON parses");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some(experiments::json::BENCH_SCHEMA)
     );
-    let Some(Json::Arr(results)) = doc.get("results") else {
-        panic!("bench JSON has no results array");
-    };
-    for format in ["f32", "fx8"] {
-        for prefix in ["", "windowed_"] {
-            let name = format!("{prefix}{format}_random_{PACKETS}pkts");
-            assert!(
-                results
-                    .iter()
-                    .any(|r| r.get("name").and_then(Json::as_str) == Some(name.as_str())),
-                "no bench point {name}"
-            );
-        }
-    }
-    println!("smoke check: BENCH_table1.json holds all 4 points ({harts} hart(s))");
+    println!("smoke check: BENCH_table1.json parses ({harts} hart(s))");
 }

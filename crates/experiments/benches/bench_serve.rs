@@ -173,19 +173,7 @@ fn main() {
 /// aggregate throughput per point, and in smoke mode asserts the
 /// pool-vs-single-session throughput gates.
 fn report_throughput(smoke: bool, requests: usize) {
-    let dir = std::env::var("BTR_BENCH_JSON_DIR").unwrap_or_else(|_| {
-        let mut probe = std::env::current_dir().expect("cwd");
-        loop {
-            if probe.join("Cargo.lock").exists() {
-                return probe
-                    .join("target/btr-bench")
-                    .to_string_lossy()
-                    .into_owned();
-            }
-            assert!(probe.pop(), "no workspace root above cwd");
-        }
-    });
-    let path = std::path::Path::new(&dir).join("BENCH_serve.json");
+    let path = criterion::json_dir().join("BENCH_serve.json");
     let text = std::fs::read_to_string(&path).expect("bench JSON written");
     let doc = Json::parse(&text).expect("bench JSON parses");
     assert_eq!(
