@@ -6,6 +6,25 @@
 //! link recorders accumulate the complete inference's bit transitions —
 //! the quantity Figs. 12–13 report.
 //!
+//! # One layer path
+//!
+//! The data format is matched once per call; every layer then runs the
+//! same code generic over [`AccelWord`], whose hooks hold the only
+//! per-format differences (operand-to-word mapping and response
+//! dequantization). Conv and linear layers differ only in how their
+//! [`LayerTasks`] source is built and in their output shape.
+//!
+//! # One layer scheduler
+//!
+//! Each layer resolves to an engine (`LayerEngine`): a pair of a
+//! request phase and a response phase, each either *stepped* through the
+//! cycle engine or *replayed* analytically from the queued ordered
+//! streams. `Cycle` is (Step, Step), `Hybrid` is (Replay, Step) and
+//! `Analytic` is (Replay, Replay). One per-layer state, `LayerRun`, runs
+//! every pair, with exactly one place each for request send accounting,
+//! delivery handling (NI acceptance, then request or response decode),
+//! response encode and the stall guard.
+//!
 //! # The staged pipeline
 //!
 //! The paper's ordering unit sits *beside* the memory controller precisely
@@ -15,7 +34,7 @@
 //! thread — building tasks from the layer operands, sorting (with the
 //! weight permutation cached per kernel, so a layer's weights are ordered
 //! once, not once per output pixel or batch element), flitizing and
-//! link-coding into a bounded ready-queue — while the cycle loop steps the
+//! link-coding into a bounded ready-queue — while the scheduler steps the
 //! mesh and only pops finished packets. Encoding for packets the prefetch
 //! buffers have not yet requested proceeds concurrently with simulation;
 //! layer *L+1* still waits on layer *L*'s outputs (its activations are a
@@ -43,8 +62,7 @@ use btr_dnn::tensor::Tensor;
 use btr_noc::analytic::{routes_contention_free, routes_link_disjoint, EngineMode};
 use btr_noc::session::{SendError, TaskPort};
 use btr_noc::sim::{DeliveredPacket, InjectError, Simulator};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Duration;
@@ -131,22 +149,69 @@ impl From<SendError> for AccelError {
     }
 }
 
-/// Words the accelerator can compute on: defines how a PE encodes its MAC
-/// result into the 32-bit response image. `Send + Sync` because the
-/// pipelined driver encodes tasks of type `W` on the per-MC encoder
-/// threads.
+/// Words the accelerator can compute on: how one layer's operands map to
+/// words, and how a PE's MAC result travels back as a 32-bit response
+/// image. `Send + Sync` because the pipelined driver encodes tasks of
+/// type `W` on the per-MC encoder threads.
+///
+/// These hooks are the only per-format code in the driver: every layer
+/// runs through one generic path over `W`.
 pub trait AccelWord: DataWord + Send + Sync {
+    /// One batch element's word scales for one layer: nothing for
+    /// float-32, the activation/weight/bias quantizers for fixed-8.
+    type Scales: Copy + Send + Sync;
+
     /// Encodes the recovered task's MAC result (32-bit field, LSB-first).
     fn response_bits(rec: &RecoveredTask<Self>) -> u64;
+
+    /// Derives the scales of batch element `x` for a layer with these
+    /// parameters. Weight and bias scales depend on the parameters alone,
+    /// so every element of a batch carries the same ones.
+    fn scales(x: &Tensor, weight: &Tensor, bias: &Tensor, config: &AccelConfig) -> Self::Scales;
+
+    /// Maps an activation to a word.
+    fn from_input(scales: Self::Scales, value: f32) -> Self;
+
+    /// Maps a weight to a word.
+    fn from_weight(scales: Self::Scales, value: f32) -> Self;
+
+    /// Maps a bias to a word.
+    fn from_bias(scales: Self::Scales, value: f32) -> Self;
+
+    /// Turns a response image back into the layer's output value; `bias`
+    /// is the task's bias word.
+    fn output(scales: Self::Scales, bits: u64, bias: Self) -> f32;
 }
 
 impl AccelWord for F32Word {
+    type Scales = ();
+
     fn response_bits(rec: &RecoveredTask<Self>) -> u64 {
         u64::from((rec.mac_f64() as f32).to_bits())
+    }
+
+    fn scales(_: &Tensor, _: &Tensor, _: &Tensor, _: &AccelConfig) {}
+
+    fn from_input((): (), value: f32) -> Self {
+        F32Word::new(value)
+    }
+
+    fn from_weight((): (), value: f32) -> Self {
+        F32Word::new(value)
+    }
+
+    fn from_bias((): (), value: f32) -> Self {
+        F32Word::new(value)
+    }
+
+    fn output((): (), bits: u64, _: Self) -> f32 {
+        f32::from_bits(bits as u32)
     }
 }
 
 impl AccelWord for Fx8Word {
+    type Scales = LayerQuantizers;
+
     fn response_bits(rec: &RecoveredTask<Self>) -> u64 {
         let mac = rec.mac_i64();
         debug_assert!(
@@ -154,6 +219,28 @@ impl AccelWord for Fx8Word {
             "integer MAC overflowed the 32-bit response field"
         );
         u64::from(mac as i32 as u32)
+    }
+
+    fn scales(x: &Tensor, weight: &Tensor, bias: &Tensor, config: &AccelConfig) -> LayerQuantizers {
+        LayerQuantizers::derive_with(x, weight, bias, config.global_fx8_weights)
+    }
+
+    fn from_input(q: LayerQuantizers, value: f32) -> Self {
+        q.input.quantize_fx8(value)
+    }
+
+    fn from_weight(q: LayerQuantizers, value: f32) -> Self {
+        q.weight.quantize_fx8(value)
+    }
+
+    fn from_bias(q: LayerQuantizers, value: f32) -> Self {
+        q.bias.quantize_fx8(value)
+    }
+
+    /// The bias code separates the integer dot product from the bias
+    /// during dequantization.
+    fn output(q: LayerQuantizers, bits: u64, bias: Self) -> f32 {
+        q.dequantize_response(i64::from(bits as u32 as i32), bias.code())
     }
 }
 
@@ -178,9 +265,9 @@ fn host_parallel() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodePlan {
     /// [`DriverMode::Synchronous`]: uncached slot-level encode,
-    /// serialized with the cycle loop — the legacy-faithful reference.
+    /// serialized with the scheduler — the legacy-faithful reference.
     Reference,
-    /// Pipelined cached encode running inline in the cycle loop (forced
+    /// Pipelined cached encode running inline in the scheduler (forced
     /// by `encode_inline`, or the auto fallback on single-hart hosts).
     Inline,
     /// Pipelined encode on this many per-MC encoder threads.
@@ -371,7 +458,8 @@ pub fn run_inference_batch(
 
 /// The per-call body shared by [`InferenceSession::run`] (and through it
 /// every one-shot entry point): `config` is already validated and `plan`
-/// already resolved.
+/// already resolved. The data format is matched here, once; everything
+/// after runs generic over the word type.
 fn run_batch_resolved(
     ops: &[InferenceOp],
     inputs: &[Tensor],
@@ -388,13 +476,29 @@ fn run_batch_resolved(
             bad.shape()
         )));
     }
+    match config.format {
+        DataFormat::Float32 => run_ops::<F32Word>(ops, inputs, config, plan, caches),
+        DataFormat::Fixed8 => run_ops::<Fx8Word>(ops, inputs, config, plan, caches),
+        other => Err(AccelError::UnsupportedFormat(other)),
+    }
+}
+
+/// Runs every op on words of type `W`: conv and linear layers over the
+/// NoC, everything else memory-side between them.
+fn run_ops<W: AccelWord>(
+    ops: &[InferenceOp],
+    inputs: &[Tensor],
+    config: &AccelConfig,
+    plan: EncodePlan,
+    caches: &[LayerEncodeCache],
+) -> Result<BatchInferenceResult, AccelError> {
     let mut sim = Simulator::new(config.noc.clone());
     let mut xs: Vec<Tensor> = inputs.to_vec();
     let mut per_layer = Vec::new();
     let mut overhead = WireOverhead::default();
 
     for (op_index, op) in ops.iter().enumerate() {
-        match op {
+        let (weight, bias, geo) = match op {
             InferenceOp::Conv {
                 weight,
                 bias,
@@ -402,114 +506,64 @@ fn run_batch_resolved(
                 padding,
             } => {
                 let geo = ConvGeometry::from_shapes(&xs[0], weight, *stride, *padding);
-                let out_shape = [geo.out_channels, geo.out_h, geo.out_w];
-                let values = match config.format {
-                    DataFormat::Float32 => {
-                        let source = LayerTasks::conv(
-                            &xs,
-                            weight,
-                            bias,
-                            geo,
-                            f32_input_mappers(xs.len()),
-                            F32Word::new,
-                            F32Word::new,
-                        );
-                        run_noc_layer_f32(
-                            op_index,
-                            "conv",
-                            &source,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    DataFormat::Fixed8 => {
-                        let qs = layer_quantizers(&xs, weight, bias, config);
-                        let q0 = qs[0];
-                        let source = LayerTasks::conv(
-                            &xs,
-                            weight,
-                            bias,
-                            geo,
-                            fx8_input_mappers(&qs),
-                            move |w| q0.weight.quantize_fx8(w),
-                            move |b| q0.bias.quantize_fx8(b),
-                        );
-                        run_noc_layer_fx8(
-                            op_index,
-                            "conv",
-                            &source,
-                            &qs,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    other => return Err(AccelError::UnsupportedFormat(other)),
-                };
-                xs = tensors_from(values, &out_shape);
+                (weight, bias, Some(geo))
             }
-            InferenceOp::Linear { weight, bias } => {
-                let out_shape = [weight.shape()[0]];
-                let values = match config.format {
-                    DataFormat::Float32 => {
-                        let source = LayerTasks::linear(
-                            &xs,
-                            weight,
-                            bias,
-                            f32_input_mappers(xs.len()),
-                            F32Word::new,
-                            F32Word::new,
-                        );
-                        run_noc_layer_f32(
-                            op_index,
-                            "linear",
-                            &source,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    DataFormat::Fixed8 => {
-                        let qs = layer_quantizers(&xs, weight, bias, config);
-                        let q0 = qs[0];
-                        let source = LayerTasks::linear(
-                            &xs,
-                            weight,
-                            bias,
-                            fx8_input_mappers(&qs),
-                            move |w| q0.weight.quantize_fx8(w),
-                            move |b| q0.bias.quantize_fx8(b),
-                        );
-                        run_noc_layer_fx8(
-                            op_index,
-                            "linear",
-                            &source,
-                            &qs,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    other => return Err(AccelError::UnsupportedFormat(other)),
-                };
-                xs = tensors_from(values, &out_shape);
-            }
+            InferenceOp::Linear { weight, bias } => (weight, bias, None),
             // Memory-side ops run between layers (the layer-level interval).
-            other => xs = xs.iter().map(|x| other.execute(x)).collect(),
-        }
+            other => {
+                xs = xs.iter().map(|x| other.execute(x)).collect();
+                continue;
+            }
+        };
+        // Activation scales are per element; weight/bias scales are shared.
+        let scales: Vec<W::Scales> = xs
+            .iter()
+            .map(|x| W::scales(x, weight, bias, config))
+            .collect();
+        let s0 = scales[0];
+        let input_mappers = scales
+            .iter()
+            .map(|&s| Box::new(move |v| W::from_input(s, v)) as Box<dyn Fn(f32) -> W + Send + Sync>)
+            .collect();
+        let to_weight = move |v| W::from_weight(s0, v);
+        let to_bias = move |v| W::from_bias(s0, v);
+        let (op_name, source, out_shape) = match geo {
+            Some(geo) => (
+                "conv",
+                LayerTasks::conv(&xs, weight, bias, geo, input_mappers, to_weight, to_bias),
+                vec![geo.out_channels, geo.out_h, geo.out_w],
+            ),
+            None => (
+                "linear",
+                LayerTasks::linear(&xs, weight, bias, input_mappers, to_weight, to_bias),
+                vec![weight.shape()[0]],
+            ),
+        };
+        let responses = run_layer(
+            op_index,
+            op_name,
+            &source,
+            config,
+            &mut sim,
+            &mut per_layer,
+            &mut overhead,
+            plan,
+            &caches[op_index],
+        )?;
+        xs = responses
+            .chunks(source.per_input())
+            .zip(&scales)
+            .map(|(chunk, &s)| {
+                let values = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(local, &bits)| {
+                        W::output(s, bits, source.bias_word(source.weight_group(local)))
+                    })
+                    .collect();
+                Tensor::from_vec(&out_shape, values).expect("task count matches shape")
+            })
+            .collect();
     }
 
     Ok(BatchInferenceResult {
@@ -523,110 +577,6 @@ fn run_batch_resolved(
         retransmitted_flits: overhead.retransmitted_flits,
         retried_packets: overhead.retried_packets,
     })
-}
-
-/// One float-32 input mapper per batch element (the identity encoding).
-fn f32_input_mappers<'a>(batch: usize) -> Vec<Box<dyn Fn(f32) -> F32Word + Send + Sync + 'a>> {
-    (0..batch)
-        .map(|_| Box::new(F32Word::new) as Box<dyn Fn(f32) -> F32Word + Send + Sync + 'a>)
-        .collect()
-}
-
-/// One fixed-8 activation mapper per batch element (activation scales are
-/// per-element; weight/bias scales are shared).
-fn fx8_input_mappers<'a>(
-    qs: &[LayerQuantizers],
-) -> Vec<Box<dyn Fn(f32) -> Fx8Word + Send + Sync + 'a>> {
-    qs.iter()
-        .map(|&q| {
-            Box::new(move |x| q.input.quantize_fx8(x))
-                as Box<dyn Fn(f32) -> Fx8Word + Send + Sync + 'a>
-        })
-        .collect()
-}
-
-/// Per-batch-element quantizers for one fixed-8 layer: activation scales
-/// derive from each element's own tensor, weight/bias scales from the
-/// shared parameters.
-fn layer_quantizers(
-    xs: &[Tensor],
-    weight: &Tensor,
-    bias: &Tensor,
-    config: &AccelConfig,
-) -> Vec<LayerQuantizers> {
-    xs.iter()
-        .map(|x| LayerQuantizers::derive_with(x, weight, bias, config.global_fx8_weights))
-        .collect()
-}
-
-/// Reassembles per-element value vectors into output tensors.
-fn tensors_from(values: Vec<Vec<f32>>, shape: &[usize]) -> Vec<Tensor> {
-    values
-        .into_iter()
-        .map(|v| Tensor::from_vec(shape, v).expect("task count matches shape"))
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_noc_layer_f32(
-    op_index: usize,
-    op_name: &'static str,
-    source: &LayerTasks<F32Word>,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    per_layer: &mut Vec<LayerTrafficReport>,
-    overhead: &mut WireOverhead,
-    plan: EncodePlan,
-    cache: &LayerEncodeCache,
-) -> Result<Vec<Vec<f32>>, AccelError> {
-    let responses = run_layer(
-        op_index, op_name, source, config, sim, per_layer, overhead, plan, cache,
-    )?;
-    Ok(responses
-        .chunks(source.per_input())
-        .map(|chunk| {
-            chunk
-                .iter()
-                .map(|&bits| f32::from_bits(bits as u32))
-                .collect()
-        })
-        .collect())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_noc_layer_fx8(
-    op_index: usize,
-    op_name: &'static str,
-    source: &LayerTasks<Fx8Word>,
-    qs: &[LayerQuantizers],
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    per_layer: &mut Vec<LayerTrafficReport>,
-    overhead: &mut WireOverhead,
-    plan: EncodePlan,
-    cache: &LayerEncodeCache,
-) -> Result<Vec<Vec<f32>>, AccelError> {
-    let responses = run_layer(
-        op_index, op_name, source, config, sim, per_layer, overhead, plan, cache,
-    )?;
-    // The bias code separates the integer dot product from the bias
-    // during dequantization; it is per weight group, shared across the
-    // batch.
-    Ok(responses
-        .chunks(source.per_input())
-        .enumerate()
-        .map(|(b, chunk)| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(local, &bits)| {
-                    let mac = i64::from(bits as u32 as i32);
-                    let bias_code = source.bias_word(source.weight_group(local)).code();
-                    qs[b].dequantize_response(mac, bias_code)
-                })
-                .collect()
-        })
-        .collect())
 }
 
 /// Partitions the PEs into one balanced region per MC, each PE joining the
@@ -777,7 +727,7 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     }
 }
 
-/// A bounded MPSC hand-off between one MC's encoder and the cycle loop.
+/// A bounded MPSC hand-off between one MC's encoder and the scheduler.
 /// Encode errors travel through the queue as values so the consumer
 /// surfaces them in injection order.
 struct ReadyQueue<W> {
@@ -934,7 +884,7 @@ fn encoder_loop<W: AccelWord>(
     }
 }
 
-/// Where the cycle loop gets its next wire-ready packet from.
+/// Where the scheduler gets its next wire-ready packet from.
 enum TaskFeed<'a, W: AccelWord> {
     /// Uncached inline encode, serialized with the simulation — the
     /// legacy-faithful [`DriverMode::Synchronous`] reference.
@@ -981,32 +931,49 @@ impl<W: AccelWord> TaskFeed<'_, W> {
     }
 }
 
-/// Accounting the cycle loop hands back to [`run_layer`].
-struct LayerRun {
-    responses: Vec<u64>,
-    request_flits: u64,
-    index_bits: u64,
-    codec_bits: u64,
-    edc_bits: u64,
+/// How one half of a layer's traffic — the request fan-out or the
+/// response convergence — runs on the mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Step the mesh cycle by cycle through the cycle engine.
+    Step,
+    /// Queue the whole phase at its sources, then replay the ordered
+    /// coded streams ([`Simulator::replay_queued_analytic`]): straight
+    /// XOR+popcount passes per link, through the bulk codec-lane kernels
+    /// on per-link-coded wires. `verified` arms the debug-build cycle
+    /// oracle inside the replay.
+    Replay { verified: bool },
 }
 
-/// Which engine [`run_layer`] resolved for one layer's traffic phase.
+/// Which engine [`run_layer`] resolved for one layer's traffic. Each
+/// engine is a (request phase, response phase) pair
+/// ([`LayerEngine::phases`]), and one scheduler, [`LayerRun::drive`],
+/// runs every pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LayerEngine {
-    /// Step the mesh cycle by cycle ([`cycle_loop`]).
+    /// (Step, Step): the cycle engine throughout, with responses
+    /// injecting while later requests are still in flight.
     Cycle,
-    /// Replay the ordered coded streams directly ([`analytic_loop`]).
-    /// `verified` records that the layer's combined route set was proven
-    /// contention-free, making the replay bit-exact with the cycle
-    /// engine (and arming the debug-build cycle oracle).
+    /// (Replay, Replay): both phases replay the ordered coded streams,
+    /// and the clock jumps over the closed-form PE compute interval in
+    /// between. `verified` records that the layer's combined route set
+    /// was proven contention-free, which makes the replay bit-exact with
+    /// the cycle engine on per-link BTs, codec-lane states, payloads and
+    /// recovered MACs. Without it (forced [`EngineMode::Analytic`])
+    /// shared links record the serialized per-packet stream — the
+    /// paper's pure stream metric — and cycle counts are closed-form
+    /// estimates.
     Analytic { verified: bool },
-    /// Split engine ([`hybrid_loop`]): the request phase — the bulk of a
-    /// layer's flits — replays analytically, the response phase steps
-    /// the mesh through the real cycle engine on the closed-form
-    /// response schedule. Resolved only when that split is provably
-    /// invisible (see [`LayerEngine::resolve`]), so it is bit-identical
-    /// to [`cycle_loop`] on per-link BTs, codec-lane states, overheads
-    /// and delivered payloads.
+    /// (Replay, Step): the request phase — the bulk of a layer's flits —
+    /// replays analytically; the response phase steps the real cycle
+    /// engine, injecting each response at its closed-form compute-ready
+    /// cycle shifted so the first lands on the current clock (a constant
+    /// shift cannot change any link's flit order). Resolved only when the
+    /// split is provably invisible (see [`LayerEngine::resolve`]), so it
+    /// is bit-identical to `Cycle` on per-link BTs, codec-lane states,
+    /// overheads and delivered payloads. Timing is the one deviation: the
+    /// layer's clock composes the request makespan and the response phase
+    /// instead of overlapping them.
     Hybrid,
 }
 
@@ -1070,41 +1037,21 @@ impl LayerEngine {
         }
     }
 
-    /// True when the layer's request phase — the bulk of its flits —
-    /// rides the analytic stream replay (fully, or as the hybrid split's
-    /// first half).
-    fn is_analytic(self) -> bool {
-        matches!(self, LayerEngine::Analytic { .. } | LayerEngine::Hybrid)
+    /// The (request phase, response phase) pair this engine runs.
+    fn phases(self) -> (Phase, Phase) {
+        match self {
+            LayerEngine::Cycle => (Phase::Step, Phase::Step),
+            LayerEngine::Hybrid => (Phase::Replay { verified: true }, Phase::Step),
+            LayerEngine::Analytic { verified } => {
+                (Phase::Replay { verified }, Phase::Replay { verified })
+            }
+        }
     }
-}
 
-/// Runs one layer's traffic through the resolved engine. Both engines
-/// consume the same feed in the same per-MC order and hand back the same
-/// accounting; [`LayerEngine::resolve`] decides which one a layer gets.
-#[allow(clippy::too_many_arguments)]
-fn drive_layer<W: AccelWord>(
-    engine: LayerEngine,
-    op_index: usize,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
-    feed: &mut TaskFeed<'_, W>,
-) -> Result<LayerRun, AccelError> {
-    match engine {
-        LayerEngine::Cycle => cycle_loop(op_index, config, sim, port, dests, per_mc_tasks, feed),
-        LayerEngine::Analytic { verified } => analytic_loop(
-            op_index,
-            config,
-            sim,
-            port,
-            dests,
-            per_mc_tasks,
-            feed,
-            verified,
-        ),
-        LayerEngine::Hybrid => hybrid_loop(op_index, config, sim, port, dests, per_mc_tasks, feed),
+    /// True when the layer's request phase — the bulk of its flits —
+    /// rides the analytic stream replay.
+    fn is_analytic(self) -> bool {
+        self.phases().0 != Phase::Step
     }
 }
 
@@ -1181,40 +1128,24 @@ fn run_layer<W: AccelWord>(
     let start_cycle = sim.cycle();
     let transitions_before = sim.stats().total_transitions;
     let engine = LayerEngine::resolve(config, &dests);
+    // Replayed phases model perfect wires; validation and `Auto` keep
+    // error injection on the cycle engine.
+    debug_assert!(!engine.is_analytic() || !config.noc.injects_errors());
+    let mut run = LayerRun::new(op_index, config, &port, &dests, &per_mc_tasks, overhead);
 
     // The schedule was resolved once at session construction
     // ([`EncodePlan::resolve`]); per-layer code never re-probes the host.
-    let run = match plan {
-        EncodePlan::Reference => {
-            let mut feed = TaskFeed::Reference { stage: &stage };
-            drive_layer(
-                engine,
-                op_index,
-                config,
-                sim,
-                &port,
-                &dests,
-                &per_mc_tasks,
-                &mut feed,
-            )
-        }
-        EncodePlan::Inline => {
-            let mut feed = TaskFeed::Inline {
+    match plan {
+        EncodePlan::Reference => run.drive(engine, sim, &mut TaskFeed::Reference { stage: &stage }),
+        EncodePlan::Inline => run.drive(
+            engine,
+            sim,
+            &mut TaskFeed::Inline {
                 stage: &stage,
                 scratch: Box::default(),
                 input_buf: Vec::new(),
-            };
-            drive_layer(
-                engine,
-                op_index,
-                config,
-                sim,
-                &port,
-                &dests,
-                &per_mc_tasks,
-                &mut feed,
-            )
-        }
+            },
+        ),
         EncodePlan::Threads(threads) => {
             let queues: Vec<ReadyQueue<W>> = (0..mcs.len())
                 .map(|_| ReadyQueue::new(config.encode_queue_depth))
@@ -1232,7 +1163,7 @@ fn run_layer<W: AccelWord>(
                     let (stage, queues, per_mc_tasks, abort, producer_died) =
                         (&stage, &queues, &per_mc_tasks, &abort, &producer_died);
                     s.spawn(move |_| {
-                        // Flag a panicking encoder so the cycle loop's
+                        // Flag a panicking encoder so the scheduler's
                         // pops stop waiting for it; the panic itself
                         // resurfaces when the scope joins this thread.
                         struct DeathFlag<'f>(&'f AtomicBool);
@@ -1251,443 +1182,328 @@ fn run_layer<W: AccelWord>(
                     queues: &queues,
                     producer_died: &producer_died,
                 };
-                let run = drive_layer(
-                    engine,
-                    op_index,
-                    config,
-                    sim,
-                    &port,
-                    &dests,
-                    &per_mc_tasks,
-                    &mut feed,
-                );
+                let result = run.drive(engine, sim, &mut feed);
                 // Release any producer still waiting for queue space
                 // (error paths leave tasks unconsumed) before the scope
                 // joins the encoder threads.
                 abort.store(true, AtomicOrdering::Release);
-                run
+                result
             })
         }
     }?;
 
+    let (request_flits, responses) = run.finish();
     let transitions_after = sim.stats().total_transitions;
     per_layer.push(LayerTrafficReport {
         op_index,
         op_name,
         request_packets: total as u64,
-        request_flits: run.request_flits,
+        request_flits,
         cycles: sim.cycle() - start_cycle,
         transitions: transitions_after - transitions_before,
         pairs_per_task: source.pairs_per_task(),
         analytic: engine.is_analytic(),
     });
-    overhead.index_bits += run.index_bits;
-    overhead.codec_bits += run.codec_bits;
-    overhead.edc_bits += run.edc_bits;
     let fault_stats = port.take_fault_stats();
     debug_assert_eq!(fault_stats.failed_packets, 0, "failures surface as errors");
     overhead.retransmitted_flits += fault_stats.retransmitted_flits;
     overhead.retried_packets += fault_stats.recovered_packets;
-    Ok(run.responses)
+    Ok(responses)
 }
 
-/// The per-cycle half of a layer: keep the MC prefetch buffers topped up
-/// from the feed, step the mesh, decode deliveries, inject PE responses.
-/// Allocation-free per cycle: deliveries drain into one reused buffer and
-/// the synchronous feed encodes through reused scratch.
-#[allow(clippy::too_many_arguments)]
-fn cycle_loop<W: AccelWord>(
+/// One layer's traffic in flight: the single scheduler behind every
+/// [`LayerEngine`]. Whatever mix of stepped and replayed phases the
+/// engine resolved to, requests are sent and accounted in
+/// [`send_request`](Self::send_request), deliveries are accepted and
+/// decoded in [`deliver`](Self::deliver), responses are encoded and
+/// accounted in [`send_response`](Self::send_response), and the stall
+/// guard lives in [`step_until_drained`](Self::step_until_drained).
+/// Allocation-free per packet on the request path: deliveries drain into
+/// one reused buffer and PE decode reuses one scratch and one recovered
+/// task.
+struct LayerRun<'a, W: AccelWord> {
     op_index: usize,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
-    feed: &mut TaskFeed<'_, W>,
-) -> Result<LayerRun, AccelError> {
-    let mcs = &config.noc.mc_nodes;
-    let total = dests.len();
-    let mut cursors = vec![0usize; mcs.len()];
-    let mut wires: Vec<Option<TaskWireMeta>> = vec![None; total];
-    let mut responses: Vec<Option<u64>> = vec![None; total];
-    let mut remaining = total;
-    // (ready_cycle, tag, response_bits) min-heap for PE compute latency.
-    let mut compute_queue: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    let mut decode_scratch = TransportScratch::default();
-    // Reused across packets: the fully allocation-free receiver path.
-    let mut recovered = RecoveredTask::<W> {
-        pairs: Vec::new(),
-        bias: W::from_bits_u64(0),
-    };
+    config: &'a AccelConfig,
+    port: &'a TaskPort<CodedTransport>,
+    /// `(pe, mc)` endpoints of every task.
+    dests: &'a [(usize, usize)],
+    /// Each MC's tasks in send order.
+    per_mc_tasks: &'a [Vec<usize>],
+    /// How many of each MC's tasks are sent, and how many of all are not.
+    cursors: Vec<usize>,
+    unsent: usize,
+    /// Wire metadata of every sent request not yet decoded at its PE.
+    wires: Vec<Option<TaskWireMeta>>,
+    /// Response images by task, filled as they reach their MCs.
+    responses: Vec<Option<u64>>,
+    remaining: usize,
+    /// Computed responses awaiting injection as `(ready cycle, task,
+    /// response bits)`, kept sorted so they pop from the front in
+    /// `(ready, task)` order — each PE's FIFO response-injection order,
+    /// under every engine.
+    staged: VecDeque<(u64, usize, u64)>,
+    delivered: Vec<DeliveredPacket>,
+    decode_scratch: TransportScratch,
+    recovered: RecoveredTask<W>,
+    request_flits: u64,
+    /// The inference's side-channel totals, accumulated in place.
+    overhead: &'a mut WireOverhead,
+}
 
-    let start_cycle = sim.cycle();
-    let mut run = LayerRun {
-        responses: Vec::new(),
-        request_flits: 0,
-        index_bits: 0,
-        codec_bits: 0,
-        edc_bits: 0,
-    };
+impl<'a, W: AccelWord> LayerRun<'a, W> {
+    fn new(
+        op_index: usize,
+        config: &'a AccelConfig,
+        port: &'a TaskPort<CodedTransport>,
+        dests: &'a [(usize, usize)],
+        per_mc_tasks: &'a [Vec<usize>],
+        overhead: &'a mut WireOverhead,
+    ) -> Self {
+        let total = dests.len();
+        Self {
+            op_index,
+            config,
+            port,
+            dests,
+            per_mc_tasks,
+            cursors: vec![0; per_mc_tasks.len()],
+            unsent: total,
+            wires: vec![None; total],
+            responses: vec![None; total],
+            remaining: total,
+            staged: VecDeque::new(),
+            delivered: Vec::new(),
+            decode_scratch: TransportScratch::default(),
+            recovered: RecoveredTask {
+                pairs: Vec::new(),
+                bias: W::from_bits_u64(0),
+            },
+            request_flits: 0,
+            overhead,
+        }
+    }
 
-    while remaining > 0 {
-        // MC-side: keep each prefetch buffer topped up with ordered
-        // packets from the feed.
-        for (mi, &mc) in mcs.iter().enumerate() {
-            while sim.pending_at(mc) < config.mc_prefetch_packets {
-                let Some(&j) = per_mc_tasks[mi].get(cursors[mi]) else {
-                    break;
-                };
-                cursors[mi] += 1;
-                let encoded = feed.next(mi, j)?;
-                let (pe, mc_node) = dests[j];
-                let sent = port.send_encoded(sim, mc_node, pe, encoded, j as u64)?;
-                run.index_bits += sent.index_overhead_bits;
-                run.codec_bits += sent.codec_overhead_bits;
-                run.edc_bits += sent.edc_overhead_bits;
-                run.request_flits += sent.flit_count as u64;
-                wires[j] = Some(sent.meta);
+    /// Runs the layer to completion under `engine`, pulling encoded
+    /// requests from `feed` in per-MC order.
+    fn drive(
+        &mut self,
+        engine: LayerEngine,
+        sim: &mut Simulator,
+        feed: &mut TaskFeed<'_, W>,
+    ) -> Result<(), AccelError> {
+        let (requests, responses) = engine.phases();
+        if let Phase::Replay { verified } = requests {
+            // Queue every task packet at its MC, replay, then decode and
+            // compute at the PEs.
+            self.staged.reserve_exact(self.dests.len());
+            for mi in 0..self.per_mc_tasks.len() {
+                while self.send_request(sim, feed, mi)? {}
+            }
+            sim.replay_queued_analytic(verified);
+            self.deliver(sim, feed, requests)?;
+            debug_assert_eq!(
+                self.staged.len(),
+                self.dests.len(),
+                "every request delivered"
+            );
+        }
+        match responses {
+            Phase::Replay { verified } => {
+                // Jump the clock over the PE compute interval the cycle
+                // engine would idle through, queue every response in
+                // completion order, replay, decode at the MCs.
+                sim.advance_cycle_to(self.staged.back().map_or(0, |&(ready, ..)| ready));
+                while let Some((_, j, bits)) = self.staged.pop_front() {
+                    self.send_response(sim, j, bits)?;
+                }
+                sim.replay_queued_analytic(verified);
+                self.deliver(sim, feed, responses)
+            }
+            Phase::Step => {
+                if requests != Phase::Step {
+                    // Anchor the first replayed response at the current
+                    // clock; offsets between responses are preserved.
+                    let base = sim.cycle();
+                    let ready0 = self.staged.front().map_or(0, |&(ready, ..)| ready);
+                    for (ready, ..) in &mut self.staged {
+                        *ready = base + (*ready - ready0);
+                    }
+                }
+                self.step_until_drained(sim, feed)
             }
         }
+    }
 
-        sim.step();
+    /// The stepped loop: inject every response whose compute finished,
+    /// keep each MC's prefetch buffer topped up from the feed, then step
+    /// the mesh and handle its deliveries — until every response is home.
+    fn step_until_drained(
+        &mut self,
+        sim: &mut Simulator,
+        feed: &mut TaskFeed<'_, W>,
+    ) -> Result<(), AccelError> {
+        let config = self.config;
+        let start = sim.cycle();
+        // The first cycle at which the stall guard below trips.
+        let stall_at = start.saturating_add(config.max_cycles_per_layer.saturating_add(1));
+        while self.remaining > 0 {
+            while let Some(&(ready, j, bits)) = self.staged.front() {
+                if ready > sim.cycle() {
+                    break;
+                }
+                self.staged.pop_front();
+                self.send_response(sim, j, bits)?;
+            }
+            if self.unsent > 0 {
+                for (mi, &mc) in config.noc.mc_nodes.iter().enumerate() {
+                    while sim.pending_at(mc) < config.mc_prefetch_packets
+                        && self.send_request(sim, feed, mi)?
+                    {}
+                }
+            }
+            match self.staged.front() {
+                // Empty mesh, nothing left to send, next response still
+                // computing: an idle `step` only bumps the clock, so jump
+                // to its ready cycle, capped where the guard trips.
+                Some(&(ready, ..)) if sim.in_flight() == 0 && self.unsent == 0 => {
+                    sim.advance_cycle_to(ready.min(stall_at));
+                }
+                _ => {
+                    sim.step();
+                    self.deliver(sim, feed, Phase::Step)?;
+                }
+            }
+            if sim.cycle() - start > config.max_cycles_per_layer {
+                return Err(AccelError::Stall {
+                    layer: self.op_index,
+                    cycles: sim.cycle() - start,
+                });
+            }
+        }
+        Ok(())
+    }
 
-        // Deliveries: requests at PEs, responses at MCs — each one runs
-        // the NI acceptance check first; a NACKed delivery is skipped
-        // here and arrives again after its retransmission.
-        sim.drain_all_delivered_into(&mut delivered);
-        for d in &delivered {
-            if !accept_delivery::<W>(port, sim, d, op_index)? {
+    /// Encodes and sends MC `mi`'s next task, if it has one left.
+    fn send_request(
+        &mut self,
+        sim: &mut Simulator,
+        feed: &mut TaskFeed<'_, W>,
+        mi: usize,
+    ) -> Result<bool, AccelError> {
+        let Some(&j) = self.per_mc_tasks[mi].get(self.cursors[mi]) else {
+            return Ok(false);
+        };
+        self.cursors[mi] += 1;
+        self.unsent -= 1;
+        let encoded = feed.next(mi, j)?;
+        let (pe, mc) = self.dests[j];
+        let sent = self.port.send_encoded(sim, mc, pe, encoded, j as u64)?;
+        self.overhead.index_bits += sent.index_overhead_bits;
+        self.overhead.codec_bits += sent.codec_overhead_bits;
+        self.overhead.edc_bits += sent.edc_overhead_bits;
+        self.request_flits += sent.flit_count as u64;
+        self.wires[j] = Some(sent.meta);
+        Ok(true)
+    }
+
+    /// Handles everything the mesh delivered. Each delivery first runs
+    /// the NI acceptance check; a NACKed one is skipped and arrives again
+    /// after its retransmission. A request is decoded at its PE, its
+    /// pairing recovered and its MAC result staged at the compute-ready
+    /// cycle; a response is decoded at its MC.
+    ///
+    /// The ready cycle follows the phase that delivered the request: a
+    /// stepped delivery counts from the clock after the `step` that
+    /// delivered it (`arrival + 1`), a replayed one from its closed-form
+    /// arrival cycle. Stepped deliveries compute in clock order, so each
+    /// is inserted at its sorted place, at or near the back; a replayed
+    /// phase delivers every request at once, in node order, and is sorted
+    /// once at the end.
+    fn deliver(
+        &mut self,
+        sim: &mut Simulator,
+        feed: &TaskFeed<'_, W>,
+        phase: Phase,
+    ) -> Result<(), AccelError> {
+        sim.drain_all_delivered_into(&mut self.delivered);
+        let session = self.port.session();
+        for d in &self.delivered {
+            if !accept_delivery::<W>(self.port, sim, d, self.op_index)? {
                 continue;
             }
             let j = d.tag as usize;
-            if config.noc.is_mc(d.dst) {
-                // Response arrived back at its MC: decode off the coded
-                // wire through the same session.
-                let bits = port
-                    .session()
+            if self.config.noc.is_mc(d.dst) {
+                let bits = session
                     .decode_response::<W>(&d.payload_flits)
                     .map_err(|e| AccelError::Decode(e.to_string()))?;
-                debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
-                responses[j] = Some(bits);
-                remaining -= 1;
+                debug_assert!(
+                    self.responses[j].is_none(),
+                    "duplicate response for task {j}"
+                );
+                self.responses[j] = Some(bits);
+                self.remaining -= 1;
+                continue;
+            }
+            // Decoded exactly once: the wire metadata is released here.
+            let wire = self.wires[j]
+                .take()
+                .expect("request was sent before delivery");
+            if feed.is_reference() {
+                self.recovered = session
+                    .decode_task_reference::<W>(&wire, &d.payload_flits)
+                    .map_err(|e| AccelError::Decode(e.to_string()))?;
             } else {
-                // Request arrived at a PE: decode off the wires, recover
-                // pairing, schedule the MAC result.
-                let wire = wires[j].as_ref().expect("request was sent before delivery");
-                if feed.is_reference() {
-                    recovered = port
-                        .session()
-                        .decode_task_reference::<W>(wire, &d.payload_flits)
-                        .map_err(|e| AccelError::Decode(e.to_string()))?;
-                } else {
-                    port.session()
-                        .decode_task_into::<W>(
-                            wire,
-                            &d.payload_flits,
-                            &mut decode_scratch,
-                            &mut recovered,
-                        )
-                        .map_err(|e| AccelError::Decode(e.to_string()))?;
-                }
-                let bits = W::response_bits(&recovered);
-                let ready = sim.cycle() + config.pe_latency(wire.num_pairs);
-                compute_queue.push(Reverse((ready, j, bits)));
-            }
-        }
-
-        // PE-side: inject finished responses.
-        while let Some(&Reverse((ready, j, bits))) = compute_queue.peek() {
-            if ready > sim.cycle() {
-                break;
-            }
-            compute_queue.pop();
-            let image = port.session().encode_response::<W>(bits);
-            run.codec_bits += u64::from(config.codec.extra_wires());
-            run.edc_bits += u64::from(config.edc.extra_wires());
-            let (pe, mc_node) = dests[j];
-            port.send_flits(sim, pe, mc_node, vec![image], j as u64)?;
-        }
-
-        if sim.cycle() - start_cycle > config.max_cycles_per_layer {
-            return Err(AccelError::Stall {
-                layer: op_index,
-                cycles: sim.cycle() - start_cycle,
-            });
-        }
-    }
-
-    run.responses = responses
-        .into_iter()
-        .map(|bits| bits.expect("all responses collected"))
-        .collect();
-    Ok(run)
-}
-
-/// One computed response staged for injection: `(task index, response
-/// bits, compute-ready cycle)`.
-type StagedResponse = (usize, u64, u64);
-
-/// The request half of [`analytic_loop`] and [`hybrid_loop`]: every
-/// request is encoded and queued (same per-MC feed order as the cycle
-/// loop's prefetch top-up), replayed via
-/// [`Simulator::replay_queued_analytic`] — straight XOR+popcount passes
-/// over the ordered coded stream, per link, through the bulk codec-lane
-/// kernels on per-link-coded wires — then decoded and computed at the
-/// PEs. Returns the staged responses as `(task, response bits,
-/// compute-ready cycle)` sorted by `(ready, task)` — the exact order the
-/// cycle engine's compute heap would pop them, which is each PE's FIFO
-/// response-injection order.
-#[allow(clippy::too_many_arguments)]
-fn replay_request_phase<W: AccelWord>(
-    op_index: usize,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
-    feed: &mut TaskFeed<'_, W>,
-    verified: bool,
-) -> Result<(Vec<StagedResponse>, LayerRun), AccelError> {
-    let total = dests.len();
-    let mut wires: Vec<Option<TaskWireMeta>> = vec![None; total];
-    let mut run = LayerRun {
-        responses: Vec::new(),
-        request_flits: 0,
-        index_bits: 0,
-        codec_bits: 0,
-        edc_bits: 0,
-    };
-
-    // Request phase: queue every task packet at its MC, then replay.
-    for (mi, tasks) in per_mc_tasks.iter().enumerate() {
-        for &j in tasks {
-            let encoded = feed.next(mi, j)?;
-            let (pe, mc_node) = dests[j];
-            let sent = port.send_encoded(sim, mc_node, pe, encoded, j as u64)?;
-            run.index_bits += sent.index_overhead_bits;
-            run.codec_bits += sent.codec_overhead_bits;
-            run.edc_bits += sent.edc_overhead_bits;
-            run.request_flits += sent.flit_count as u64;
-            wires[j] = Some(sent.meta);
-        }
-    }
-    sim.replay_queued_analytic(verified);
-
-    // PE side: decode each delivered request off the wires, recover the
-    // pairing, compute the MAC (the same reused-scratch receiver path as
-    // the cycle loop).
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    sim.drain_all_delivered_into(&mut delivered);
-    debug_assert_eq!(delivered.len(), total, "every request delivered");
-    let mut decode_scratch = TransportScratch::default();
-    let mut recovered = RecoveredTask::<W> {
-        pairs: Vec::new(),
-        bias: W::from_bits_u64(0),
-    };
-    let mut staged: Vec<(usize, u64, u64)> = Vec::with_capacity(total);
-    for d in &delivered {
-        // The wires are perfect here (error injection forces the cycle
-        // engine), so acceptance always passes — but it must run, so the
-        // EDC verify and replay-buffer release stay on this path too.
-        let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
-        debug_assert!(accepted, "analytic wires are perfect");
-        let j = d.tag as usize;
-        let wire = wires[j].as_ref().expect("request was sent before delivery");
-        if feed.is_reference() {
-            recovered = port
-                .session()
-                .decode_task_reference::<W>(wire, &d.payload_flits)
-                .map_err(|e| AccelError::Decode(e.to_string()))?;
-        } else {
-            port.session()
-                .decode_task_into::<W>(wire, &d.payload_flits, &mut decode_scratch, &mut recovered)
-                .map_err(|e| AccelError::Decode(e.to_string()))?;
-        }
-        let bits = W::response_bits(&recovered);
-        staged.push((j, bits, d.arrival_cycle + config.pe_latency(wire.num_pairs)));
-    }
-    // Completion order — ready cycle, then task id: exactly the order
-    // the cycle engine's compute min-heap pops, so each PE's responses
-    // inject in its true FIFO order even when a PE holds several tasks
-    // (closed-form arrivals are exact on stall-free request phases, and
-    // relative order is all the response phase needs).
-    staged.sort_unstable_by_key(|&(j, _, ready)| (ready, j));
-    Ok((staged, run))
-}
-
-/// The split engine behind [`LayerEngine::Hybrid`]: the request phase —
-/// the weight/activation fan-out carrying the bulk of a layer's flits —
-/// replays analytically, then the response phase steps the mesh through
-/// the **real cycle engine**, injecting each PE's response at its
-/// closed-form compute-ready cycle (shifted by a constant, which cannot
-/// change any link's flit order: the cycle engine's dynamics depend only
-/// on relative inject times).
-///
-/// Bit-exactness with the fully overlapped [`cycle_loop`] rests on the
-/// split condition [`LayerEngine::resolve`] proved: request routes are
-/// contention-free (so the replay *is* the request phase's true per-link
-/// order and the closed-form ready cycles are exact) and request and
-/// response routes are link-disjoint (so neither phase can stall, delay
-/// or reorder the other anywhere in the mesh, and the phase split is
-/// invisible on every link). Converging response traffic — many PEs
-/// funnelling into each MC's ejection link, which no per-link order rule
-/// can serialize — is handled by the one engine that resolves it
-/// faithfully: the cycle engine itself. Timing fields are the one
-/// deviation: the layer's cycle count composes the request makespan and
-/// the response phase instead of their overlap.
-#[allow(clippy::too_many_arguments)]
-fn hybrid_loop<W: AccelWord>(
-    op_index: usize,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
-    feed: &mut TaskFeed<'_, W>,
-) -> Result<LayerRun, AccelError> {
-    let total = dests.len();
-    let (staged, mut run) =
-        replay_request_phase(op_index, config, sim, port, dests, per_mc_tasks, feed, true)?;
-
-    // Response phase: drive the cycle engine on the closed-form schedule.
-    // `base` anchors the first response at the current clock; offsets
-    // between responses are preserved exactly.
-    let base = sim.cycle();
-    let ready0 = staged.first().map_or(0, |&(.., ready)| ready);
-    let mut responses: Vec<Option<u64>> = vec![None; total];
-    let mut remaining = total;
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    let mut idx = 0;
-    let start_cycle = sim.cycle();
-    while remaining > 0 {
-        while let Some(&(j, bits, ready)) = staged.get(idx) {
-            if base + (ready - ready0) > sim.cycle() {
-                break;
-            }
-            let image = port.session().encode_response::<W>(bits);
-            run.codec_bits += u64::from(config.codec.extra_wires());
-            run.edc_bits += u64::from(config.edc.extra_wires());
-            let (pe, mc_node) = dests[j];
-            port.send_flits(sim, pe, mc_node, vec![image], j as u64)?;
-            idx += 1;
-        }
-        let idle_until = staged
-            .get(idx)
-            .filter(|_| sim.in_flight() == 0)
-            .map(|&(.., ready)| base + (ready - ready0));
-        if let Some(ready_at) = idle_until {
-            // Empty mesh, next response still computing: an idle `step`
-            // only bumps the clock, so jump to its ready cycle — capped
-            // at the cycle where stepping would have tripped the stall
-            // check below.
-            let stall_at =
-                start_cycle.saturating_add(config.max_cycles_per_layer.saturating_add(1));
-            sim.advance_cycle_to(ready_at.min(stall_at));
-        } else {
-            sim.step();
-            sim.drain_all_delivered_into(&mut delivered);
-            for d in &delivered {
-                let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
-                debug_assert!(accepted, "hybrid wires are perfect");
-                let j = d.tag as usize;
-                debug_assert!(config.noc.is_mc(d.dst), "responses terminate at MCs");
-                let bits = port
-                    .session()
-                    .decode_response::<W>(&d.payload_flits)
+                session
+                    .decode_task_into::<W>(
+                        &wire,
+                        &d.payload_flits,
+                        &mut self.decode_scratch,
+                        &mut self.recovered,
+                    )
                     .map_err(|e| AccelError::Decode(e.to_string()))?;
-                debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
-                responses[j] = Some(bits);
-                remaining -= 1;
+            }
+            let latency = self.config.pe_latency(wire.num_pairs);
+            let bits = W::response_bits(&self.recovered);
+            match phase {
+                Phase::Step => {
+                    let entry = (sim.cycle() + latency, j, bits);
+                    let at = self.staged.partition_point(|e| *e < entry);
+                    self.staged.insert(at, entry);
+                }
+                Phase::Replay { .. } => self.staged.push_back((d.arrival_cycle + latency, j, bits)),
             }
         }
-        if sim.cycle() - start_cycle > config.max_cycles_per_layer {
-            return Err(AccelError::Stall {
-                layer: op_index,
-                cycles: sim.cycle() - start_cycle,
-            });
+        if phase != Phase::Step {
+            self.staged.make_contiguous().sort_unstable();
         }
+        Ok(())
     }
-    run.responses = responses
-        .into_iter()
-        .map(|bits| bits.expect("all responses collected"))
-        .collect();
-    Ok(run)
-}
 
-/// The analytic counterpart of [`cycle_loop`]: one layer as two stream
-/// replays instead of per-cycle mesh stepping. Every request is encoded
-/// and queued (same per-MC feed order as the cycle loop's prefetch
-/// top-up), replayed via [`Simulator::replay_queued_analytic`] — straight
-/// XOR+popcount passes over the ordered coded stream, per link — then
-/// decoded and computed at the PEs; the clock jumps over the closed-form
-/// PE compute interval; finally every response is queued in completion
-/// order and replayed the same way.
-///
-/// With `verified` (the layer's combined route set was proven
-/// contention-free) the result is bit-exact with [`cycle_loop`] on
-/// per-link BTs, codec-lane states, payloads and recovered MACs, and
-/// debug builds run the cycle engine as an oracle inside each replay.
-/// Without it (forced [`EngineMode::Analytic`]) shared links record the
-/// serialized per-packet stream — the paper's pure stream metric — and
-/// cycle counts are closed-form estimates.
-#[allow(clippy::too_many_arguments)]
-fn analytic_loop<W: AccelWord>(
-    op_index: usize,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
-    feed: &mut TaskFeed<'_, W>,
-    verified: bool,
-) -> Result<LayerRun, AccelError> {
-    let total = dests.len();
-    let (staged, mut run) = replay_request_phase(
-        op_index,
-        config,
-        sim,
-        port,
-        dests,
-        per_mc_tasks,
-        feed,
-        verified,
-    )?;
-
-    // Response phase: jump the clock over the PE compute interval the
-    // cycle engine would idle through, queue every response, replay.
-    sim.advance_cycle_to(staged.iter().map(|&(.., ready)| ready).max().unwrap_or(0));
-    for &(j, bits, _) in &staged {
-        let image = port.session().encode_response::<W>(bits);
-        run.codec_bits += u64::from(config.codec.extra_wires());
-        run.edc_bits += u64::from(config.edc.extra_wires());
-        let (pe, mc_node) = dests[j];
-        port.send_flits(sim, pe, mc_node, vec![image], j as u64)?;
+    /// Encodes one computed response onto the coded wire and injects it
+    /// at its PE, accounting its side-channel bits.
+    fn send_response(
+        &mut self,
+        sim: &mut Simulator,
+        j: usize,
+        bits: u64,
+    ) -> Result<(), AccelError> {
+        let image = self.port.session().encode_response::<W>(bits);
+        self.overhead.codec_bits += u64::from(self.config.codec.extra_wires());
+        self.overhead.edc_bits += u64::from(self.config.edc.extra_wires());
+        let (pe, mc) = self.dests[j];
+        self.port.send_flits(sim, pe, mc, vec![image], j as u64)?;
+        Ok(())
     }
-    sim.replay_queued_analytic(verified);
 
-    // MC side: decode every response off the coded wire.
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    sim.drain_all_delivered_into(&mut delivered);
-    debug_assert_eq!(delivered.len(), total, "every response delivered");
-    let mut responses: Vec<Option<u64>> = vec![None; total];
-    for d in &delivered {
-        let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
-        debug_assert!(accepted, "analytic wires are perfect");
-        let j = d.tag as usize;
-        debug_assert!(config.noc.is_mc(d.dst), "responses terminate at MCs");
-        let bits = port
-            .session()
-            .decode_response::<W>(&d.payload_flits)
-            .map_err(|e| AccelError::Decode(e.to_string()))?;
-        debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
-        responses[j] = Some(bits);
+    /// The layer's request flit count and its response images by task.
+    fn finish(self) -> (u64, Vec<u64>) {
+        let responses = self
+            .responses
+            .into_iter()
+            .map(|bits| bits.expect("all responses collected"))
+            .collect();
+        (self.request_flits, responses)
     }
-    run.responses = responses
-        .into_iter()
-        .map(|bits| bits.expect("all responses collected"))
-        .collect();
-    Ok(run)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! `(ic, kh, kw)` row-major — the "natural" memory order that the baseline
 //! (O0) transmits unmodified.
 
-use btr_bits::word::{DataWord, F32Word, Fx8Word};
+use btr_bits::word::{DataWord, Fx8Word};
 use btr_bits::Quantizer;
 use btr_core::task::NeuronTask;
 use btr_dnn::tensor::Tensor;
@@ -468,15 +468,6 @@ pub fn linear_tasks<'a, W: DataWord>(
         .collect()
 }
 
-/// Float-32 word mappers (identity encoding).
-pub fn f32_mappers() -> (
-    impl Fn(f32) -> F32Word,
-    impl Fn(f32) -> F32Word,
-    impl Fn(f32) -> F32Word,
-) {
-    (F32Word::new, F32Word::new, F32Word::new)
-}
-
 /// Fixed-8 word mappers from per-layer quantizers.
 pub fn fx8_mappers(
     q: LayerQuantizers,
@@ -495,6 +486,7 @@ pub fn fx8_mappers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_bits::word::F32Word;
     use btr_dnn::model::conv_forward;
 
     fn sample_conv() -> (Tensor, Tensor, Tensor, ConvGeometry) {
