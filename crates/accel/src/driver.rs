@@ -25,21 +25,19 @@
 //! delivery handling (NI acceptance, then request or response decode),
 //! response encode and the stall guard.
 //!
-//! # The staged pipeline
+//! # The encode stage
 //!
-//! The paper's ordering unit sits *beside* the memory controller precisely
-//! so that sorting and flitizing never stall the link (Sec. V, Fig. 14).
-//! The driver models the same overlap in software: with
-//! [`DriverMode::Pipelined`] each MC gets an encoder running on its own
-//! thread — building tasks from the layer operands, sorting (with the
-//! weight permutation cached per kernel, so a layer's weights are ordered
-//! once, not once per output pixel or batch element), flitizing and
-//! link-coding into a bounded ready-queue — while the scheduler steps the
-//! mesh and only pops finished packets. Encoding for packets the prefetch
-//! buffers have not yet requested proceeds concurrently with simulation;
-//! layer *L+1* still waits on layer *L*'s outputs (its activations are a
-//! data dependency), so the overlap window is the thousands of tasks
-//! within each layer.
+//! The paper's ordering unit sits *beside* the memory controller so that
+//! sorting and flitizing never stall the link (Sec. V, Fig. 14). In the
+//! simulated hardware that overlap is free; in software the scheduler
+//! encodes each request inline, on its own thread, when the MC's prefetch
+//! buffer has room for it. [`DriverMode::Pipelined`] makes that encode
+//! cheap rather than concurrent: each kernel group's weights are sorted
+//! once and pre-rendered into a flit template kept for the session's
+//! lifetime, so a task only deals its activation lanes (and for O2 the
+//! input sort and pair index). Host parallelism is spent where the work
+//! is independent — whole sweep cells and serve sessions — not on
+//! per-MC encoder threads, which lost to inline encode on a 2-hart host.
 //!
 //! Both driver modes inject the identical packet sequence, so they are
 //! bit-exact with each other — same per-link bit transitions, cycle
@@ -62,10 +60,8 @@ use btr_dnn::tensor::Tensor;
 use btr_noc::analytic::{routes_contention_free, routes_link_disjoint, EngineMode};
 use btr_noc::session::{SendError, TaskPort};
 use btr_noc::sim::{DeliveredPacket, InjectError, Simulator};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Duration;
 
 /// Errors from [`run_inference`].
 #[derive(Debug)]
@@ -87,8 +83,6 @@ pub enum AccelError {
     },
     /// The fixed-16 extension format is not wired into the accelerator.
     UnsupportedFormat(DataFormat),
-    /// A pipelined encoder thread died (panicked) mid-layer.
-    EncoderDied,
     /// A packet kept failing its EDC check until the NI's retry budget
     /// ran out (unreliable-link model).
     Unrecoverable {
@@ -111,9 +105,6 @@ impl std::fmt::Display for AccelError {
             }
             AccelError::UnsupportedFormat(fmt) => {
                 write!(f, "format {fmt} is not supported by the accelerator")
-            }
-            AccelError::EncoderDied => {
-                write!(f, "a pipelined encoder thread panicked mid-layer")
             }
             AccelError::Unrecoverable { layer, retries } => {
                 write!(
@@ -151,15 +142,14 @@ impl From<SendError> for AccelError {
 
 /// Words the accelerator can compute on: how one layer's operands map to
 /// words, and how a PE's MAC result travels back as a 32-bit response
-/// image. `Send + Sync` because the pipelined driver encodes tasks of
-/// type `W` on the per-MC encoder threads.
+/// image.
 ///
 /// These hooks are the only per-format code in the driver: every layer
 /// runs through one generic path over `W`.
-pub trait AccelWord: DataWord + Send + Sync {
+pub trait AccelWord: DataWord {
     /// One batch element's word scales for one layer: nothing for
     /// float-32, the activation/weight/bias quantizers for fixed-8.
-    type Scales: Copy + Send + Sync;
+    type Scales: Copy;
 
     /// Encodes the recovered task's MAC result (32-bit field, LSB-first).
     fn response_bits(rec: &RecoveredTask<Self>) -> u64;
@@ -244,34 +234,17 @@ impl AccelWord for Fx8Word {
     }
 }
 
-/// Whether this host has more than one hardware thread — the condition
-/// under which pipelined encoder threads are an overlap instead of a
-/// context-switch tax. Probed once per process: long-lived serving
-/// sessions must not re-probe per request, and the decision must not
-/// flip mid-stream if the OS changes the process's CPU affinity.
-fn host_parallel() -> bool {
-    static HOST_PARALLEL: OnceLock<bool> = OnceLock::new();
-    *HOST_PARALLEL
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1)
-}
-
-/// How a session schedules MC-side encoding, resolved **once** from an
-/// [`AccelConfig`] at session construction (not per inference call, and
-/// not per layer): the host-parallelism probe behind the
-/// inline-vs-threaded choice runs once per process, so a long-lived
-/// server session answers every request with the same schedule.
-///
-/// All three plans are bit-exact with each other (`tests/driver_parity.rs`).
+/// How a session schedules MC-side encoding, resolved once from the
+/// [`DriverMode`] at session construction. Both plans are bit-exact with
+/// each other (`tests/driver_parity.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodePlan {
-    /// [`DriverMode::Synchronous`]: uncached slot-level encode,
-    /// serialized with the scheduler — the legacy-faithful reference.
+    /// [`DriverMode::Synchronous`]: uncached slot-level encode and
+    /// decode — the legacy-faithful reference.
     Reference,
-    /// Pipelined cached encode running inline in the scheduler (forced
-    /// by `encode_inline`, or the auto fallback on single-hart hosts).
+    /// [`DriverMode::Pipelined`]: cached encode through the session's
+    /// weight templates, inline in the scheduler.
     Inline,
-    /// Pipelined encode on this many per-MC encoder threads.
-    Threads(usize),
 }
 
 impl EncodePlan {
@@ -281,14 +254,7 @@ impl EncodePlan {
     pub fn resolve(config: &AccelConfig) -> Self {
         match config.driver {
             DriverMode::Synchronous => EncodePlan::Reference,
-            DriverMode::Pipelined
-                if config.encode_inline || (config.encode_threads == 0 && !host_parallel()) =>
-            {
-                EncodePlan::Inline
-            }
-            DriverMode::Pipelined => {
-                EncodePlan::Threads(config.encoder_threads_for(config.noc.mc_nodes.len()))
-            }
+            DriverMode::Pipelined => EncodePlan::Inline,
         }
     }
 }
@@ -299,10 +265,10 @@ impl EncodePlan {
 ///
 /// This is the building block of the multi-session service
 /// (`btr_serve`): each pool worker owns one session and answers every
-/// dispatched batch through it — config validation and the
-/// inline-vs-threaded probe happen at pool construction, never on the
-/// request hot path. Each `run` call simulates on a fresh mesh, so the
-/// reported stats cover exactly that call's traffic.
+/// dispatched batch through it — config validation and the encode-plan
+/// resolution happen at pool construction, never on the request hot
+/// path. Each `run` call simulates on a fresh mesh, so the reported stats
+/// cover exactly that call's traffic.
 pub struct InferenceSession<'a> {
     ops: &'a [InferenceOp],
     config: AccelConfig,
@@ -310,28 +276,26 @@ pub struct InferenceSession<'a> {
     /// One encode cache per op: the weight permutations and pre-rendered
     /// weight flit templates of each conv/linear layer's kernel groups.
     /// Weights never change within a session, so templates built lazily
-    /// by the first dispatch are shared across the batch dimension,
-    /// across encoder threads, and across every subsequent
-    /// [`run`](InferenceSession::run) call.
+    /// by the first dispatch are shared across the batch dimension and
+    /// across every subsequent [`run`](InferenceSession::run) call.
     caches: Vec<LayerEncodeCache>,
 }
 
 /// Per-layer encode cache: the lazily computed descending weight order
 /// and pre-rendered [`EncodeTemplate`] of every kernel group — the
 /// "weight-side work happens once per session, not once per task"
-/// amortization. Computing an entry twice under a race is harmless: the
-/// build is deterministic, so every thread derives the identical value.
+/// amortization.
 #[derive(Debug, Default)]
 struct LayerEncodeCache {
-    wperms: Vec<OnceLock<Vec<usize>>>,
-    templates: Vec<OnceLock<Result<EncodeTemplate, FlitizeError>>>,
+    wperms: Vec<OnceCell<Vec<usize>>>,
+    templates: Vec<OnceCell<Result<EncodeTemplate, FlitizeError>>>,
 }
 
 impl LayerEncodeCache {
     fn with_groups(groups: usize) -> Self {
         Self {
-            wperms: (0..groups).map(|_| OnceLock::new()).collect(),
-            templates: (0..groups).map(|_| OnceLock::new()).collect(),
+            wperms: (0..groups).map(|_| OnceCell::new()).collect(),
+            templates: (0..groups).map(|_| OnceCell::new()).collect(),
         }
     }
 
@@ -521,9 +485,9 @@ fn run_ops<W: AccelWord>(
             .map(|x| W::scales(x, weight, bias, config))
             .collect();
         let s0 = scales[0];
-        let input_mappers = scales
+        let input_mappers: Vec<_> = scales
             .iter()
-            .map(|&s| Box::new(move |v| W::from_input(s, v)) as Box<dyn Fn(f32) -> W + Send + Sync>)
+            .map(|&s| move |v| W::from_input(s, v))
             .collect();
         let to_weight = move |v| W::from_weight(s0, v);
         let to_bias = move |v| W::from_bias(s0, v);
@@ -631,9 +595,8 @@ struct WireOverhead {
 }
 
 /// The MC-side encode stage: task construction + ordering + flitization +
-/// link coding, with the weight permutation cached per kernel group. One
-/// instance per layer, shared (`&self`) by every encoder thread and by
-/// the synchronous feed.
+/// link coding. One instance per layer, owned by the layer's [`LayerRun`]
+/// and called inline whenever an MC's prefetch buffer has room.
 struct EncodeStage<'a, W: AccelWord> {
     source: &'a LayerTasks<W>,
     session: CodedTransport,
@@ -641,12 +604,24 @@ struct EncodeStage<'a, W: AccelWord> {
     tiebreak: TieBreak,
     /// The session-lifetime weight-side cache for this layer: descending
     /// weight orders and pre-rendered weight flit templates per kernel
-    /// group, shared by every encoder thread and across dispatches.
+    /// group, shared across the batch and across dispatches.
     cache: &'a LayerEncodeCache,
+    /// [`EncodePlan::Reference`]: encode and decode through the
+    /// legacy-faithful slot-level path instead of the cache.
+    reference: bool,
+    /// The cached path's scratch and operand window, reused across the
+    /// layer's tasks.
+    scratch: TransportScratch,
+    input_buf: Vec<W>,
 }
 
 impl<'a, W: AccelWord> EncodeStage<'a, W> {
-    fn new(source: &'a LayerTasks<W>, config: &AccelConfig, cache: &'a LayerEncodeCache) -> Self {
+    fn new(
+        source: &'a LayerTasks<W>,
+        config: &AccelConfig,
+        cache: &'a LayerEncodeCache,
+        plan: EncodePlan,
+    ) -> Self {
         debug_assert_eq!(
             cache.templates.len(),
             source.group_count(),
@@ -665,21 +640,16 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
             ordering: config.ordering,
             tiebreak: config.tiebreak,
             cache,
+            reference: plan == EncodePlan::Reference,
+            scratch: TransportScratch::default(),
+            input_buf: Vec::new(),
         }
     }
 
-    /// Builds and encodes global task `j` the pre-pipeline way: eager
-    /// slot-level materialization, full per-task sort, fresh scratch —
-    /// the [`DriverMode::Synchronous`] reference the bench trajectory
-    /// measures the pipeline against. Deliberately bypasses the template
-    /// cache so it stays an independent oracle for the fast path.
-    fn encode_reference(&self, j: usize) -> Result<EncodedTask<W>, FlitizeError> {
-        self.session.encode_task_reference(&self.source.build(j))
-    }
-
     /// The group's cached descending weight order, computed on first use.
-    fn wperm(&self, group: usize) -> &[usize] {
-        self.cache.wperms[group].get_or_init(|| {
+    fn wperm(&self, group: usize) -> &'a [usize] {
+        let cache = self.cache;
+        cache.wperms[group].get_or_init(|| {
             self.tiebreak
                 .descending_order(self.source.group_weights(group))
         })
@@ -689,8 +659,9 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     /// and O2 index overhead pre-rendered into flit images, built on the
     /// first task that touches the group and reused for every later task
     /// in the batch — and in later dispatches of the same session.
-    fn template(&self, group: usize) -> Result<&EncodeTemplate, FlitizeError> {
-        self.cache.templates[group]
+    fn template(&self, group: usize) -> Result<&'a EncodeTemplate, FlitizeError> {
+        let cache = self.cache;
+        cache.templates[group]
             .get_or_init(|| {
                 let wperm = match self.ordering {
                     OrderingMethod::Baseline => None,
@@ -709,225 +680,23 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
             .map_err(Clone::clone)
     }
 
-    /// Builds and encodes global task `j` — bit-identical to the plain
-    /// `encode_task` path, but through the pre-rendered weight template:
-    /// only the activation lanes (and for O2 the input sort + pair index)
-    /// are dealt per task (`input_buf` is the reused per-thread window
-    /// buffer).
-    fn encode(
-        &self,
-        j: usize,
-        scratch: &mut TransportScratch,
-        input_buf: &mut Vec<W>,
-    ) -> Result<EncodedTask<W>, FlitizeError> {
-        let (_weights, _bias) = self.source.operands_into(j, input_buf);
+    /// Builds and encodes global task `j`.
+    ///
+    /// The reference path is the pre-pipeline way — eager slot-level
+    /// materialization, full per-task sort, fresh scratch — and bypasses
+    /// the template cache so it stays an independent oracle for the cached
+    /// path. The cached path is bit-identical to the plain `encode_task`
+    /// path, but only the activation lanes (and for O2 the input sort and
+    /// pair index) are dealt per task; the weight side comes from the
+    /// group's template.
+    fn encode(&mut self, j: usize) -> Result<EncodedTask<W>, FlitizeError> {
+        if self.reference {
+            return self.session.encode_task_reference(&self.source.build(j));
+        }
+        let (_weights, _bias) = self.source.operands_into(j, &mut self.input_buf);
         let template = self.template(self.source.weight_group(j))?;
         self.session
-            .encode_with_template(template, input_buf, scratch)
-    }
-}
-
-/// A bounded MPSC hand-off between one MC's encoder and the scheduler.
-/// Encode errors travel through the queue as values so the consumer
-/// surfaces them in injection order.
-struct ReadyQueue<W> {
-    state: Mutex<VecDeque<Result<EncodedTask<W>, FlitizeError>>>,
-    avail: Condvar,
-    space: Condvar,
-    cap: usize,
-}
-
-impl<W: DataWord> ReadyQueue<W> {
-    fn new(cap: usize) -> Self {
-        Self {
-            state: Mutex::new(VecDeque::with_capacity(cap)),
-            avail: Condvar::new(),
-            space: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Blocking push; returns `false` if the consumer aborted while this
-    /// producer was waiting for space.
-    fn push(&self, item: Result<EncodedTask<W>, FlitizeError>, abort: &AtomicBool) -> bool {
-        let mut q = self.state.lock().expect("ready-queue poisoned");
-        while q.len() >= self.cap {
-            if abort.load(AtomicOrdering::Acquire) {
-                return false;
-            }
-            // Timed wait so an abort set after the check still wakes us.
-            let (guard, _) = self
-                .space
-                .wait_timeout(q, Duration::from_millis(1))
-                .expect("ready-queue poisoned");
-            q = guard;
-        }
-        q.push_back(item);
-        drop(q);
-        self.avail.notify_one();
-        true
-    }
-
-    /// Non-blocking push for encoder threads multiplexing several MCs.
-    fn try_push(
-        &self,
-        item: Result<EncodedTask<W>, FlitizeError>,
-    ) -> Result<(), Result<EncodedTask<W>, FlitizeError>> {
-        let mut q = self.state.lock().expect("ready-queue poisoned");
-        if q.len() >= self.cap {
-            return Err(item);
-        }
-        q.push_back(item);
-        drop(q);
-        self.avail.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop (consumer side): the consumer pops exactly as many
-    /// items as the MC has tasks, so a live producer always eventually
-    /// delivers. `producer_died` is the escape for the one case where
-    /// it cannot — an encoder thread panicking mid-layer — turning a
-    /// would-be permanent hang into `None` (the panic itself then
-    /// propagates when the scope joins the dead thread).
-    fn pop(&self, producer_died: &AtomicBool) -> Option<Result<EncodedTask<W>, FlitizeError>> {
-        let mut q = self.state.lock().expect("ready-queue poisoned");
-        loop {
-            if let Some(item) = q.pop_front() {
-                drop(q);
-                self.space.notify_one();
-                return Some(item);
-            }
-            if producer_died.load(AtomicOrdering::Acquire) {
-                return None;
-            }
-            // Timed wait so a death flag set after the check still
-            // wakes us.
-            let (guard, _) = self
-                .avail
-                .wait_timeout(q, Duration::from_millis(1))
-                .expect("ready-queue poisoned");
-            q = guard;
-        }
-    }
-}
-
-/// Encoder-thread body: encodes its MCs' tasks in per-MC order into the
-/// ready-queues until done, an encode error, or a consumer abort.
-fn encoder_loop<W: AccelWord>(
-    stage: &EncodeStage<'_, W>,
-    queues: &[ReadyQueue<W>],
-    per_mc_tasks: &[Vec<usize>],
-    owned: &[usize],
-    abort: &AtomicBool,
-) {
-    let mut scratch = TransportScratch::default();
-    let mut input_buf: Vec<W> = Vec::new();
-    if let [mi] = *owned {
-        // One MC per thread (the default): simple blocking pushes.
-        for &j in &per_mc_tasks[mi] {
-            if abort.load(AtomicOrdering::Acquire) {
-                return;
-            }
-            let item = stage.encode(j, &mut scratch, &mut input_buf);
-            let failed = item.is_err();
-            if !queues[mi].push(item, abort) || failed {
-                return;
-            }
-        }
-        return;
-    }
-    // Multiplexed: round-robin over the owned MCs with one stash slot
-    // each, never blocking on a single full queue (a blocked push here
-    // could starve a sibling MC the consumer is waiting on).
-    let mut cursors = vec![0usize; owned.len()];
-    let mut stash: Vec<Option<Result<EncodedTask<W>, FlitizeError>>> =
-        (0..owned.len()).map(|_| None).collect();
-    loop {
-        if abort.load(AtomicOrdering::Acquire) {
-            return;
-        }
-        let mut progressed = false;
-        let mut done = true;
-        for (k, &mi) in owned.iter().enumerate() {
-            if let Some(item) = stash[k].take() {
-                match queues[mi].try_push(item) {
-                    Ok(()) => progressed = true,
-                    Err(item) => {
-                        stash[k] = Some(item);
-                        done = false;
-                        continue;
-                    }
-                }
-            }
-            if cursors[k] < per_mc_tasks[mi].len() {
-                done = false;
-                let j = per_mc_tasks[mi][cursors[k]];
-                cursors[k] += 1;
-                let item = stage.encode(j, &mut scratch, &mut input_buf);
-                let failed = item.is_err();
-                if let Err(item) = queues[mi].try_push(item) {
-                    stash[k] = Some(item);
-                }
-                if failed {
-                    // Stop this MC's stream; the consumer aborts on pop.
-                    cursors[k] = per_mc_tasks[mi].len();
-                }
-                progressed = true;
-            }
-        }
-        if done {
-            return;
-        }
-        if !progressed {
-            std::thread::park_timeout(Duration::from_micros(100));
-        }
-    }
-}
-
-/// Where the scheduler gets its next wire-ready packet from.
-enum TaskFeed<'a, W: AccelWord> {
-    /// Uncached inline encode, serialized with the simulation — the
-    /// legacy-faithful [`DriverMode::Synchronous`] reference.
-    Reference { stage: &'a EncodeStage<'a, W> },
-    /// Cached inline encode: the pipelined encode stage without threads,
-    /// used when the host has no spare hardware threads to overlap on.
-    /// The scratch is boxed: it is one allocation per layer and keeps
-    /// the feed enum pointer-sized next to the queue variant.
-    Inline {
-        stage: &'a EncodeStage<'a, W>,
-        scratch: Box<TransportScratch>,
-        input_buf: Vec<W>,
-    },
-    /// Pop from the per-MC encoder ready-queues.
-    Queues {
-        queues: &'a [ReadyQueue<W>],
-        producer_died: &'a AtomicBool,
-    },
-}
-
-impl<W: AccelWord> TaskFeed<'_, W> {
-    fn next(&mut self, mi: usize, j: usize) -> Result<EncodedTask<W>, AccelError> {
-        match self {
-            TaskFeed::Reference { stage } => Ok(stage.encode_reference(j)?),
-            TaskFeed::Inline {
-                stage,
-                scratch,
-                input_buf,
-            } => Ok(stage.encode(j, scratch, input_buf)?),
-            TaskFeed::Queues {
-                queues,
-                producer_died,
-            } => match queues[mi].pop(producer_died) {
-                Some(item) => Ok(item?),
-                None => Err(AccelError::EncoderDied),
-            },
-        }
-    }
-
-    /// True in the legacy-faithful reference mode, which also decodes
-    /// deliveries through the preserved slot-level path.
-    fn is_reference(&self) -> bool {
-        matches!(self, TaskFeed::Reference { .. })
+            .encode_with_template(template, &self.input_buf, &mut self.scratch)
     }
 }
 
@@ -1116,7 +885,7 @@ fn run_layer<W: AccelWord>(
     // live in the shared transport session; the NoC port binds it to the
     // simulator, so both the request and response paths ride the coded
     // wire.
-    let stage = EncodeStage::new(source, config, cache);
+    let stage = EncodeStage::new(source, config, cache, plan);
     // Arm the NI recovery protocol whenever a fault config exists — even
     // at ber = 0, so the EDC verify stays on the receive path and
     // zero-BER equivalence is measured, not assumed.
@@ -1131,66 +900,16 @@ fn run_layer<W: AccelWord>(
     // Replayed phases model perfect wires; validation and `Auto` keep
     // error injection on the cycle engine.
     debug_assert!(!engine.is_analytic() || !config.noc.injects_errors());
-    let mut run = LayerRun::new(op_index, config, &port, &dests, &per_mc_tasks, overhead);
-
-    // The schedule was resolved once at session construction
-    // ([`EncodePlan::resolve`]); per-layer code never re-probes the host.
-    match plan {
-        EncodePlan::Reference => run.drive(engine, sim, &mut TaskFeed::Reference { stage: &stage }),
-        EncodePlan::Inline => run.drive(
-            engine,
-            sim,
-            &mut TaskFeed::Inline {
-                stage: &stage,
-                scratch: Box::default(),
-                input_buf: Vec::new(),
-            },
-        ),
-        EncodePlan::Threads(threads) => {
-            let queues: Vec<ReadyQueue<W>> = (0..mcs.len())
-                .map(|_| ReadyQueue::new(config.encode_queue_depth))
-                .collect();
-            let abort = AtomicBool::new(false);
-            let producer_died = AtomicBool::new(false);
-            // The schedule is resolved (and clamped) in exactly one
-            // place: EncodePlan::resolve.
-            debug_assert!(threads >= 1 && threads <= mcs.len());
-            let owned_sets: Vec<Vec<usize>> = (0..threads)
-                .map(|t| (0..mcs.len()).filter(|mi| mi % threads == t).collect())
-                .collect();
-            rayon::scope(|s| {
-                for owned in &owned_sets {
-                    let (stage, queues, per_mc_tasks, abort, producer_died) =
-                        (&stage, &queues, &per_mc_tasks, &abort, &producer_died);
-                    s.spawn(move |_| {
-                        // Flag a panicking encoder so the scheduler's
-                        // pops stop waiting for it; the panic itself
-                        // resurfaces when the scope joins this thread.
-                        struct DeathFlag<'f>(&'f AtomicBool);
-                        impl Drop for DeathFlag<'_> {
-                            fn drop(&mut self) {
-                                if std::thread::panicking() {
-                                    self.0.store(true, AtomicOrdering::Release);
-                                }
-                            }
-                        }
-                        let _flag = DeathFlag(producer_died);
-                        encoder_loop(stage, queues, per_mc_tasks, owned, abort);
-                    });
-                }
-                let mut feed = TaskFeed::Queues {
-                    queues: &queues,
-                    producer_died: &producer_died,
-                };
-                let result = run.drive(engine, sim, &mut feed);
-                // Release any producer still waiting for queue space
-                // (error paths leave tasks unconsumed) before the scope
-                // joins the encoder threads.
-                abort.store(true, AtomicOrdering::Release);
-                result
-            })
-        }
-    }?;
+    let mut run = LayerRun::new(
+        op_index,
+        config,
+        &port,
+        stage,
+        &dests,
+        &per_mc_tasks,
+        overhead,
+    );
+    run.drive(engine, sim)?;
 
     let (request_flits, responses) = run.finish();
     let transitions_after = sim.stats().total_transitions;
@@ -1225,6 +944,7 @@ struct LayerRun<'a, W: AccelWord> {
     op_index: usize,
     config: &'a AccelConfig,
     port: &'a TaskPort<CodedTransport>,
+    stage: EncodeStage<'a, W>,
     /// `(pe, mc)` endpoints of every task.
     dests: &'a [(usize, usize)],
     /// Each MC's tasks in send order.
@@ -1255,6 +975,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
         op_index: usize,
         config: &'a AccelConfig,
         port: &'a TaskPort<CodedTransport>,
+        stage: EncodeStage<'a, W>,
         dests: &'a [(usize, usize)],
         per_mc_tasks: &'a [Vec<usize>],
         overhead: &'a mut WireOverhead,
@@ -1264,6 +985,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
             op_index,
             config,
             port,
+            stage,
             dests,
             per_mc_tasks,
             cursors: vec![0; per_mc_tasks.len()],
@@ -1283,24 +1005,19 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
         }
     }
 
-    /// Runs the layer to completion under `engine`, pulling encoded
-    /// requests from `feed` in per-MC order.
-    fn drive(
-        &mut self,
-        engine: LayerEngine,
-        sim: &mut Simulator,
-        feed: &mut TaskFeed<'_, W>,
-    ) -> Result<(), AccelError> {
+    /// Runs the layer to completion under `engine`, encoding requests in
+    /// per-MC order.
+    fn drive(&mut self, engine: LayerEngine, sim: &mut Simulator) -> Result<(), AccelError> {
         let (requests, responses) = engine.phases();
         if let Phase::Replay { verified } = requests {
             // Queue every task packet at its MC, replay, then decode and
             // compute at the PEs.
             self.staged.reserve_exact(self.dests.len());
             for mi in 0..self.per_mc_tasks.len() {
-                while self.send_request(sim, feed, mi)? {}
+                while self.send_request(sim, mi)? {}
             }
             sim.replay_queued_analytic(verified);
-            self.deliver(sim, feed, requests)?;
+            self.deliver(sim, requests)?;
             debug_assert_eq!(
                 self.staged.len(),
                 self.dests.len(),
@@ -1317,7 +1034,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
                     self.send_response(sim, j, bits)?;
                 }
                 sim.replay_queued_analytic(verified);
-                self.deliver(sim, feed, responses)
+                self.deliver(sim, responses)
             }
             Phase::Step => {
                 if requests != Phase::Step {
@@ -1329,19 +1046,15 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
                         *ready = base + (*ready - ready0);
                     }
                 }
-                self.step_until_drained(sim, feed)
+                self.step_until_drained(sim)
             }
         }
     }
 
     /// The stepped loop: inject every response whose compute finished,
-    /// keep each MC's prefetch buffer topped up from the feed, then step
+    /// keep each MC's prefetch buffer topped up, then step
     /// the mesh and handle its deliveries — until every response is home.
-    fn step_until_drained(
-        &mut self,
-        sim: &mut Simulator,
-        feed: &mut TaskFeed<'_, W>,
-    ) -> Result<(), AccelError> {
+    fn step_until_drained(&mut self, sim: &mut Simulator) -> Result<(), AccelError> {
         let config = self.config;
         let start = sim.cycle();
         // The first cycle at which the stall guard below trips.
@@ -1357,7 +1070,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
             if self.unsent > 0 {
                 for (mi, &mc) in config.noc.mc_nodes.iter().enumerate() {
                     while sim.pending_at(mc) < config.mc_prefetch_packets
-                        && self.send_request(sim, feed, mi)?
+                        && self.send_request(sim, mi)?
                     {}
                 }
             }
@@ -1370,7 +1083,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
                 }
                 _ => {
                     sim.step();
-                    self.deliver(sim, feed, Phase::Step)?;
+                    self.deliver(sim, Phase::Step)?;
                 }
             }
             if sim.cycle() - start > config.max_cycles_per_layer {
@@ -1384,18 +1097,13 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
     }
 
     /// Encodes and sends MC `mi`'s next task, if it has one left.
-    fn send_request(
-        &mut self,
-        sim: &mut Simulator,
-        feed: &mut TaskFeed<'_, W>,
-        mi: usize,
-    ) -> Result<bool, AccelError> {
+    fn send_request(&mut self, sim: &mut Simulator, mi: usize) -> Result<bool, AccelError> {
         let Some(&j) = self.per_mc_tasks[mi].get(self.cursors[mi]) else {
             return Ok(false);
         };
         self.cursors[mi] += 1;
         self.unsent -= 1;
-        let encoded = feed.next(mi, j)?;
+        let encoded = self.stage.encode(j)?;
         let (pe, mc) = self.dests[j];
         let sent = self.port.send_encoded(sim, mc, pe, encoded, j as u64)?;
         self.overhead.index_bits += sent.index_overhead_bits;
@@ -1419,12 +1127,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
     /// is inserted at its sorted place, at or near the back; a replayed
     /// phase delivers every request at once, in node order, and is sorted
     /// once at the end.
-    fn deliver(
-        &mut self,
-        sim: &mut Simulator,
-        feed: &TaskFeed<'_, W>,
-        phase: Phase,
-    ) -> Result<(), AccelError> {
+    fn deliver(&mut self, sim: &mut Simulator, phase: Phase) -> Result<(), AccelError> {
         sim.drain_all_delivered_into(&mut self.delivered);
         let session = self.port.session();
         for d in &self.delivered {
@@ -1448,7 +1151,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
             let wire = self.wires[j]
                 .take()
                 .expect("request was sent before delivery");
-            if feed.is_reference() {
+            if self.stage.reference {
                 self.recovered = session
                     .decode_task_reference::<W>(&wire, &d.payload_flits)
                     .map_err(|e| AccelError::Decode(e.to_string()))?;
@@ -1836,29 +1539,13 @@ mod tests {
     #[test]
     fn encode_plan_resolves_once_from_config() {
         let base = config(DataFormat::Fixed8, OrderingMethod::Separated);
-        // Synchronous is always the reference schedule.
-        let mut c = base.clone();
-        c.driver = DriverMode::Synchronous;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Reference);
-        // Forced inline beats every other knob.
-        let mut c = base.clone();
-        c.encode_inline = true;
-        c.encode_threads = 2;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Inline);
-        // An explicit thread count always spawns threads (clamped to the
-        // MC count), regardless of host parallelism.
-        let mut c = base.clone();
-        c.encode_threads = 1;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Threads(1));
-        c.encode_threads = 64;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Threads(2));
-        // Auto resolves from the process-wide host probe: inline on a
-        // single-hart host, one thread per MC otherwise — and the session
-        // pins whichever it was.
-        let auto = EncodePlan::resolve(&base);
-        assert!(matches!(auto, EncodePlan::Inline | EncodePlan::Threads(2)));
+        let mut sync = base.clone();
+        sync.driver = DriverMode::Synchronous;
+        assert_eq!(EncodePlan::resolve(&sync), EncodePlan::Reference);
+        // Pipelined encodes inline on every host, and the session pins it.
+        assert_eq!(EncodePlan::resolve(&base), EncodePlan::Inline);
         let session = InferenceSession::new(&[], base).unwrap();
-        assert_eq!(session.plan(), auto);
+        assert_eq!(session.plan(), EncodePlan::Inline);
     }
 
     #[test]

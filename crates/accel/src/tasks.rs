@@ -211,9 +211,7 @@ enum LayerInputs<W> {
 /// index. Weight kernels and bias words are materialized **once per
 /// layer** at construction (they are shared by every output pixel and
 /// every batch element), so [`LayerTasks::build`] only extracts the
-/// per-task inputs. `build` is `&self` and the source is `Sync`, so
-/// encoder threads construct tasks concurrently off the cycle-loop
-/// thread.
+/// per-task inputs.
 pub struct LayerTasks<W> {
     inputs: LayerInputs<W>,
     /// Weight words per group (conv: one per output channel; linear: one
@@ -229,12 +227,12 @@ impl<W: DataWord> LayerTasks<W> {
     /// Builds the source for a convolution layer. `input_mappers` holds
     /// one word mapper per batch element (fixed-8 activation scales are
     /// per-element); weights and biases use the shared mappers.
-    pub fn conv<'a>(
+    pub fn conv(
         xs: &[Tensor],
         weight: &Tensor,
         bias: &Tensor,
         geo: ConvGeometry,
-        input_mappers: Vec<Box<dyn Fn(f32) -> W + Send + Sync + 'a>>,
+        input_mappers: Vec<impl Fn(f32) -> W>,
         to_weight: impl Fn(f32) -> W,
         to_bias: impl Fn(f32) -> W,
     ) -> Self {
@@ -269,11 +267,11 @@ impl<W: DataWord> LayerTasks<W> {
     }
 
     /// Builds the source for a linear layer.
-    pub fn linear<'a>(
+    pub fn linear(
         xs: &[Tensor],
         weight: &Tensor,
         bias: &Tensor,
-        input_mappers: Vec<Box<dyn Fn(f32) -> W + Send + Sync + 'a>>,
+        input_mappers: Vec<impl Fn(f32) -> W>,
         to_weight: impl Fn(f32) -> W,
         to_bias: impl Fn(f32) -> W,
     ) -> Self {
@@ -417,12 +415,12 @@ impl<W: DataWord> LayerTasks<W> {
 /// `out_index` is the flat index into the `[out_c, out_h, out_w]` output
 /// (equal to the task's position in the returned list). Thin eager
 /// wrapper over [`LayerTasks`] for single-input callers and tests.
-pub fn conv_tasks<'a, W: DataWord>(
-    input: &'a Tensor,
+pub fn conv_tasks<W: DataWord>(
+    input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
     geo: &ConvGeometry,
-    to_input: impl Fn(f32) -> W + Send + Sync + 'a,
+    to_input: impl Fn(f32) -> W,
     to_weight: impl Fn(f32) -> W,
     to_bias: impl Fn(f32) -> W,
 ) -> Vec<IndexedTask<W>> {
@@ -431,7 +429,7 @@ pub fn conv_tasks<'a, W: DataWord>(
         weight,
         bias,
         *geo,
-        vec![Box::new(to_input)],
+        vec![to_input],
         to_weight,
         to_bias,
     );
@@ -444,11 +442,11 @@ pub fn conv_tasks<'a, W: DataWord>(
 }
 
 /// Builds every task of a linear layer.
-pub fn linear_tasks<'a, W: DataWord>(
-    input: &'a Tensor,
+pub fn linear_tasks<W: DataWord>(
+    input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
-    to_input: impl Fn(f32) -> W + Send + Sync + 'a,
+    to_input: impl Fn(f32) -> W,
     to_weight: impl Fn(f32) -> W,
     to_bias: impl Fn(f32) -> W,
 ) -> Vec<IndexedTask<W>> {
@@ -456,7 +454,7 @@ pub fn linear_tasks<'a, W: DataWord>(
         std::slice::from_ref(input),
         weight,
         bias,
-        vec![Box::new(to_input)],
+        vec![to_input],
         to_weight,
         to_bias,
     );

@@ -263,7 +263,7 @@ fn radix_pass_descending(
 
 /// Reusable buffers of the ordering kernel: the precomputed keys plus the
 /// LSD radix ping-pong array (value rule), the per-value popcounts
-/// (stable rule). One instance per encoder thread (via
+/// (stable rule). One reused instance per encode loop (via
 /// `TransportScratch`) keeps the per-task sort allocation-free.
 #[derive(Debug, Default)]
 pub struct SortScratch {

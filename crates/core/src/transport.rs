@@ -137,8 +137,8 @@ impl TransportConfig {
 
 /// Reusable scratch buffers for the encode half of the transport
 /// pipeline: the ordering permutations, slot assignments and inverse-index
-/// tables `order → flitize` needs per task. One instance per encoder
-/// thread keeps the per-task encode loop free of scratch allocations
+/// tables `order → flitize` needs per task. One instance per encode
+/// loop keeps the per-task encode loop free of scratch allocations
 /// (buffers grow to the largest task seen and are then reused).
 #[derive(Debug, Default)]
 pub struct TransportScratch {
@@ -395,10 +395,9 @@ impl CodedTransport {
 
     /// [`TransportSession::encode_task`] with reusable scratch buffers and
     /// an optional precomputed weight permutation (see
-    /// [`order_task_cached`]). The session itself is `Copy`, so encoder
-    /// threads each take their own handle plus a private scratch and
-    /// encode off the cycle-loop thread; the output is bit-identical to
-    /// the plain encode.
+    /// [`order_task_cached`]). The session itself is `Copy`, so each
+    /// caller takes its own handle plus a private scratch; the output is
+    /// bit-identical to the plain encode.
     ///
     /// # Errors
     ///

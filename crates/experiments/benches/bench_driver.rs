@@ -6,12 +6,14 @@
 //! Writes `BENCH_driver.json` (schema `btr-bench-v1`) like every bench
 //! group, then reads it back to print per-input throughput and the
 //! pipelined-vs-sync speedups — the end-to-end perf trajectory for the
-//! driver (see EXPERIMENTS.md).
+//! driver (see EXPERIMENTS.md). Prints the host's hart count first.
 //!
 //! `BTR_BENCH_DRIVER_SMOKE=1` switches to random weights (no training),
 //! two samples per point, and **asserts** that the pipelined driver's
-//! best-case time does not lose to the synchronous driver at the same
-//! batch — the CI guard for the pipeline's reason to exist.
+//! best-case time does not lose to the synchronous driver's at the same
+//! batch — the CI guard for the cached encode's reason to exist. Both
+//! drivers encode inline on one thread, so the gate assumes no particular
+//! hart count.
 
 use btr_accel::config::{AccelConfig, DriverMode};
 use btr_accel::driver::run_inference_batch;
@@ -56,6 +58,8 @@ const POINTS: [(&str, DriverMode, usize, EngineMode); 7] = [
 
 fn main() {
     let smoke = std::env::var("BTR_BENCH_DRIVER_SMOKE").is_ok();
+    let harts = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    println!("driver bench on {harts} hart(s)");
     let source = if smoke {
         WeightSource::Random
     } else {
@@ -88,13 +92,13 @@ fn main() {
     }
     group.finish();
 
-    report_speedups(smoke);
+    report_speedups(smoke, harts);
 }
 
 /// Reads the group's own `BENCH_driver.json` back (exercising the
 /// round-trip CI relies on), prints per-input throughput, and in smoke
 /// mode asserts pipelined ≥ sync throughput at equal batch.
-fn report_speedups(smoke: bool) {
+fn report_speedups(smoke: bool, harts: usize) {
     let path = criterion::json_dir().join("BENCH_driver.json");
     let text = std::fs::read_to_string(&path).expect("bench JSON written");
     let doc = Json::parse(&text).expect("bench JSON parses");
@@ -141,18 +145,21 @@ fn report_speedups(smoke: bool) {
 
     if smoke {
         // Best-case (min) times are the most noise-robust on shared CI
-        // runners; equal batch isolates the encode/simulate overlap.
-        // The pipelined driver measures ~25-30% faster, so a 10% slack
-        // absorbs scheduler noise without weakening the gate's intent.
+        // runners; equal batch isolates the cached encode and decode.
+        // On a 2-hart host 2 of 29 runs put pipelined_b4 less than 1.2x
+        // ahead of sync_b4 (the others measured 1.25-1.97x), so the gate
+        // asks only that pipelined does not lose, with no slack.
         let sync = metric("sync_b4", "min_ns");
         let pipelined = metric("pipelined_b4", "min_ns");
         assert!(
-            pipelined <= sync * 1.1,
+            pipelined <= sync,
             "pipelined driver lost to sync at batch 4: {pipelined} ns vs {sync} ns"
         );
         println!(
-            "smoke check: pipelined_b4 {:.1} ms <= sync_b4 {:.1} ms",
+            "smoke check: pipelined_b4 {:.1} ms is {:.2}x faster than sync_b4 {:.1} ms \
+             ({harts} hart(s))",
             pipelined / 1e6,
+            sync / pipelined,
             sync / 1e6
         );
     }

@@ -86,19 +86,10 @@ const POINTS: [(&str, usize, usize, OrderingMethod, EngineMode); 7] = [
     ),
 ];
 
-fn accel_config(
-    ordering: OrderingMethod,
-    window: usize,
-    sessions: usize,
-    engine: EngineMode,
-) -> AccelConfig {
+fn accel_config(ordering: OrderingMethod, window: usize, engine: EngineMode) -> AccelConfig {
     let mut config = AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, ordering);
     config.batch_size = window;
     config.engine = engine;
-    // Concurrent sessions already claim the harts; encoder threads would
-    // only contend with sibling meshes (same reasoning as the sweep
-    // runner and the btr-serve binary).
-    config.encode_inline = sessions > 1;
     config
 }
 
@@ -125,7 +116,7 @@ fn main() {
         if sessions == 0 {
             // The reference: one synchronous session answering the same
             // request stream back to back, batch 1.
-            let mut config = accel_config(ordering, 1, 1, engine);
+            let mut config = accel_config(ordering, 1, engine);
             config.driver = DriverMode::Synchronous;
             let stream = synthetic_requests(&pool, requests);
             group.bench_function(name, |b| {
@@ -146,7 +137,7 @@ fn main() {
             continue;
         }
         let config = ServeConfig {
-            accel: accel_config(ordering, window, sessions, engine),
+            accel: accel_config(ordering, window, engine),
             sessions,
             queue_capacity: 16,
             flush_polls: 16,

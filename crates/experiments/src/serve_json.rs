@@ -8,7 +8,7 @@ use btr_serve::{Histogram, ServeConfig, ServeReport};
 /// The serve result schema version.
 pub const SERVE_SCHEMA: &str = "btr-serve-v2";
 
-/// Serializes a histogram as summary stats plus its non-empty log2
+/// Serializes a histogram as summary stats plus its non-empty log-linear
 /// buckets (`[lo, hi, count]` rows, `hi` inclusive).
 #[must_use]
 pub fn histogram_json(h: &Histogram) -> Json {
@@ -133,7 +133,7 @@ mod tests {
         let text = json.to_string_compact();
         assert!(text.contains("\"count\":2"), "{text}");
         assert!(text.contains("\"max\":100"), "{text}");
-        assert!(text.contains("\"buckets\":[[2,3,1],[64,127,1]]"), "{text}");
+        assert!(text.contains("\"buckets\":[[3,3,1],[100,103,1]]"), "{text}");
         // The writer output parses back.
         assert!(Json::parse(&text).is_ok());
     }

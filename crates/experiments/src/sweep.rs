@@ -344,19 +344,6 @@ pub fn run_cell(workloads: &[Workload], cell: SweepCell) -> CellOutcome {
 /// reference).
 #[must_use]
 pub fn run_cell_with(workloads: &[Workload], cell: SweepCell, driver: DriverMode) -> CellOutcome {
-    run_cell_impl(workloads, cell, driver, false)
-}
-
-/// `inline_encode` forces the pipelined driver's encode stage inline —
-/// the parallel cell fan-out already claims every core, so per-cell
-/// encoder threads would only contend (results are bit-exact either
-/// way).
-fn run_cell_impl(
-    workloads: &[Workload],
-    cell: SweepCell,
-    driver: DriverMode,
-    inline_encode: bool,
-) -> CellOutcome {
     // btr-lint: allow(determinism, reason = "feeds only the wall_ms report field, which every equivalence diff strips; no simulated quantity depends on it")
     let start = std::time::Instant::now();
     let error_outcome = |e: String| CellOutcome {
@@ -407,7 +394,6 @@ fn run_cell_impl(
     config.batch_size = cell.batch;
     config.driver = driver;
     config.engine = cell.engine;
-    config.encode_inline = inline_encode;
     let inputs = match workload.batch_inputs(cell.batch) {
         Ok(inputs) => inputs,
         Err(e) => return error_outcome(e),
@@ -471,9 +457,7 @@ pub fn run_cells(
     par_run(cells, sequential, |cell| run_cell(workloads, cell))
 }
 
-/// [`run_cells`] with an explicit driver mode. When the cells fan out
-/// in parallel, each cell's pipelined encode runs inline: the runner
-/// already saturates the cores with one simulator per cell.
+/// [`run_cells`] with an explicit driver mode.
 #[must_use]
 pub fn run_cells_with(
     workloads: &[Workload],
@@ -481,9 +465,8 @@ pub fn run_cells_with(
     sequential: bool,
     driver: DriverMode,
 ) -> Vec<CellOutcome> {
-    let parallel_cells = !sequential && cells.len() > 1;
     par_run(cells, sequential, |cell| {
-        run_cell_impl(workloads, cell, driver, parallel_cells)
+        run_cell_with(workloads, cell, driver)
     })
 }
 

@@ -272,8 +272,8 @@ impl<S> TaskPort<S> {
         Ok(self.send_encoded(sim, src, dst, encoded, tag)?)
     }
 
-    /// Injects an already-encoded task (e.g. one popped from a pipelined
-    /// encoder's ready-queue) as a packet `src → dst`, consuming the wire
+    /// Injects an already-encoded task (e.g. one from the driver's cached
+    /// encode stage) as a packet `src → dst`, consuming the wire
     /// images without cloning them. The accounting record is identical to
     /// what [`TaskPort::send_task_accounted`] reports for the same task.
     ///

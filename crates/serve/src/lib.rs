@@ -18,7 +18,7 @@
 //! * [`service`] — the session pool: worker threads, dispatch loop,
 //!   aggregate [`ServeReport`].
 //! * [`load`] — the deterministic synthetic client.
-//! * [`metrics`] — log2-bucketed [`Histogram`]s.
+//! * [`metrics`] — log-linear [`Histogram`]s.
 //!
 //! The `btr-serve` binary and the `bench_serve` harness (both in
 //! `crates/experiments`) are thin front-ends over [`serve`]; the

@@ -2,8 +2,8 @@
 //! reusable accelerator sessions, with aggregate reporting.
 //!
 //! One [`InferenceSession`] per worker — config validation and the
-//! inline-vs-threaded encode resolution happen once at pool
-//! construction, never per request. Each dispatch coalesces up to
+//! encode-plan resolution happen once at pool construction, never per
+//! request. Each dispatch coalesces up to
 //! `batch_size` queued requests (the batching window) into one
 //! `session.run` call on that worker's own mesh, so the fleet runs
 //! `sessions` independent meshes concurrently while the bounded queue
