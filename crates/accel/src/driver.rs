@@ -1153,7 +1153,7 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
                 .expect("request was sent before delivery");
             if self.stage.reference {
                 self.recovered = session
-                    .decode_task_reference::<W>(&wire, &d.payload_flits)
+                    .decode_task_reference::<W>(&wire, &d.payload_flits.to_payloads())
                     .map_err(|e| AccelError::Decode(e.to_string()))?;
             } else {
                 session
@@ -1194,7 +1194,8 @@ impl<'a, W: AccelWord> LayerRun<'a, W> {
         self.overhead.codec_bits += u64::from(self.config.codec.extra_wires());
         self.overhead.edc_bits += u64::from(self.config.edc.extra_wires());
         let (pe, mc) = self.dests[j];
-        self.port.send_flits(sim, pe, mc, vec![image], j as u64)?;
+        self.port
+            .send_images(sim, pe, mc, std::slice::from_ref(&image), j as u64)?;
         Ok(())
     }
 

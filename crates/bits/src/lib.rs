@@ -11,6 +11,8 @@
 //! * [`fixed`] — symmetric per-tensor fixed-point quantization;
 //! * [`payload`] — [`payload::PayloadBits`], a fixed-capacity bit container
 //!   representing the image of a flit on the physical link wires;
+//! * [`packed`] — [`packed::PackedFlits`], equal-width flits packed into
+//!   one flat word buffer (the Table I stream and the NoC flit arena);
 //! * [`transition`] — bit-transition (BT) counting between consecutive link
 //!   images, the paper's core metric;
 //! * [`stats`] — per-bit-position `'1'`-probability and
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod fixed;
+pub mod packed;
 pub mod payload;
 pub mod stats;
 pub mod swar;
@@ -46,6 +49,7 @@ pub mod transition;
 pub mod word;
 
 pub use fixed::{QuantError, Quantizer};
+pub use packed::PackedFlits;
 pub use payload::PayloadBits;
 pub use stats::{BitPositionStats, PopcountHistogram};
 pub use transition::{bit_transitions, bit_transitions_u64, TransitionRecorder};

@@ -195,6 +195,40 @@ impl PayloadBits {
         self.width.div_ceil(64) as usize
     }
 
+    /// The image's `width.div_ceil(64)` words, LSB-first, bits at or
+    /// above the width zero — one flit of the [`crate::packed`] layout.
+    #[inline]
+    #[must_use]
+    pub fn as_words(&self) -> &[u64] {
+        &self.words[..self.words_used()]
+    }
+
+    /// The image held by one flit's packed words (the inverse of
+    /// [`PayloadBits::as_words`]); bits at or above `width` are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or exceeds [`MAX_WIDTH_BITS`], or if
+    /// `words` is not `width.div_ceil(64)` long.
+    #[inline]
+    #[must_use]
+    pub fn from_words(width: u32, words: &[u64]) -> Self {
+        let mut out = Self::zero(width);
+        let used = out.words_used();
+        assert_eq!(
+            words.len(),
+            used,
+            "{width}-bit image from {} words",
+            words.len()
+        );
+        out.words[..used].copy_from_slice(words);
+        let rem = width % 64;
+        if rem != 0 {
+            out.words[used - 1] &= (1u64 << rem) - 1;
+        }
+        out
+    }
+
     /// Overwrites this image with `other`, copying only the words
     /// `other`'s width covers — the hot-path alternative to a full
     /// 1024-bit struct copy for per-hop link recording.

@@ -19,7 +19,7 @@
 //!
 //! # Packed layout and the pair kernel
 //!
-//! A stream is a [`StreamFlits`]: one flat `Vec<u64>` holding each flit's
+//! A stream is a [`PackedFlits`]: one flat `Vec<u64>` holding each flit's
 //! `values_per_flit × W::WIDTH` link bits in `width.div_ceil(64)` words
 //! (1 word per 8-lane fixed-8 flit, 4 per 8-lane float-32 flit), lane `s`
 //! at bits `s·W..(s+1)·W`, LSB-first, bits above the width zero. The
@@ -38,7 +38,7 @@
 pub use crate::ordering::TieBreak;
 use crate::ordering::{round_robin_assignment_into, SortScratch};
 use crate::transport::{row_major_assignment_into, window_occupancy_into};
-use btr_bits::payload::PayloadBits;
+pub use btr_bits::packed::PackedFlits;
 use btr_bits::stats::{BitPositionStats, PopcountHistogram};
 use btr_bits::transition::reduction_rate;
 use btr_bits::word::DataWord;
@@ -105,134 +105,6 @@ impl WindowConfig {
     }
 }
 
-/// A stream of equal-width flits packed into a flat word buffer: flit `i`
-/// occupies words `i·k..(i+1)·k` with `k = width.div_ceil(64)`, LSB-first,
-/// bits at or above `width` zero (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamFlits {
-    width: u32,
-    words_per_flit: usize,
-    words: Vec<u64>,
-}
-
-impl StreamFlits {
-    /// An empty stream of `width`-bit flits (`width > 0`).
-    fn new(width: u32) -> Self {
-        assert!(width > 0, "flit width must be positive");
-        Self {
-            width,
-            words_per_flit: width.div_ceil(64) as usize,
-            words: Vec::new(),
-        }
-    }
-
-    /// Packs flit images of `width` bits (e.g. an ablation ordering's
-    /// [`PayloadBits`] output) into a stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0` or any flit is not `width` bits wide.
-    #[must_use]
-    pub fn from_payloads(width: u32, flits: &[PayloadBits]) -> Self {
-        let mut out = Self::new(width);
-        for flit in flits {
-            assert_eq!(flit.width(), width, "flit width differs from the stream's");
-            let first = out.push_zeroed(1) * out.words_per_flit;
-            for (w, word) in out.words[first..].iter_mut().enumerate() {
-                let offset = w as u32 * 64;
-                *word = flit.field(offset, (width - offset).min(64));
-            }
-        }
-        out
-    }
-
-    /// Link width in bits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Number of flits.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.words.len() / self.words_per_flit
-    }
-
-    /// True when the stream holds no flit.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// The packed words of flit `index`.
-    fn flit(&self, index: usize) -> &[u64] {
-        let k = self.words_per_flit;
-        &self.words[index * k..(index + 1) * k]
-    }
-
-    /// The flits as [`PayloadBits`] images, for the link-encoding APIs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the width exceeds [`btr_bits::payload::MAX_WIDTH_BITS`].
-    #[must_use]
-    pub fn to_payloads(&self) -> Vec<PayloadBits> {
-        self.words
-            .chunks_exact(self.words_per_flit)
-            .map(|words| {
-                let mut flit = PayloadBits::zero(self.width);
-                for (w, &word) in words.iter().enumerate() {
-                    let offset = w as u32 * 64;
-                    flit.set_field(offset, (self.width - offset).min(64), word);
-                }
-                flit
-            })
-            .collect()
-    }
-
-    /// Appends `count` all-zero flits, returning the index of the first.
-    fn push_zeroed(&mut self, count: usize) -> usize {
-        let first = self.len();
-        self.words
-            .resize(self.words.len() + count * self.words_per_flit, 0);
-        first
-    }
-
-    /// ORs the low `len` bits of `value` into flit `flit` at bit `offset`;
-    /// a field may straddle a word boundary.
-    #[inline]
-    fn or_field(&mut self, flit: usize, offset: u32, len: u32, value: u64) {
-        debug_assert!(offset + len <= self.width, "field exceeds the flit width");
-        let value = if len == 64 {
-            value
-        } else {
-            value & ((1u64 << len) - 1)
-        };
-        let word = flit * self.words_per_flit + (offset / 64) as usize;
-        let bit = offset % 64;
-        self.words[word] |= value << bit;
-        if bit + len > 64 {
-            self.words[word + 1] |= value >> (64 - bit);
-        }
-    }
-
-    /// Reads the `len`-bit field (`len <= 64`) of flit `flit` at `offset`.
-    fn field(&self, flit: usize, offset: u32, len: u32) -> u64 {
-        let words = self.flit(flit);
-        let word = (offset / 64) as usize;
-        let bit = offset % 64;
-        let mut value = words[word] >> bit;
-        if bit + len > 64 {
-            value |= words[word + 1] << (64 - bit);
-        }
-        if len == 64 {
-            value
-        } else {
-            value & ((1u64 << len) - 1)
-        }
-    }
-}
-
 /// Builds the flit stream for `packets`, optionally ordered per window.
 ///
 /// Baseline (`ordered == false`): each packet is flitized row-major with
@@ -250,14 +122,14 @@ pub fn build_stream_flits<W: DataWord>(
     packets: &[Vec<W>],
     config: &WindowConfig,
     ordered: bool,
-) -> StreamFlits {
+) -> PackedFlits {
     assert!(
         config.values_per_flit > 0,
         "values_per_flit must be positive"
     );
     assert!(config.window_packets > 0, "window_packets must be positive");
     let vpf = config.values_per_flit;
-    let mut flits = StreamFlits::new(vpf as u32 * W::WIDTH);
+    let mut flits = PackedFlits::new(vpf as u32 * W::WIDTH);
     if !ordered {
         let total: usize = packets.iter().map(|p| p.len().div_ceil(vpf)).sum();
         flits.push_zeroed(total);
@@ -337,7 +209,7 @@ pub struct StreamReport {
 /// Panics if the stream's width is not `values_per_flit × W::WIDTH`.
 #[must_use]
 pub fn measure_flits<W: DataWord>(
-    flits: &StreamFlits,
+    flits: &PackedFlits,
     values_per_flit: usize,
     comparison: Comparison,
     grid_rows: usize,
@@ -407,8 +279,8 @@ const FLUSH_EVERY: u32 = (1 << PLANES) - 1;
 /// `words_per_flit × 64` entries (wires above the width stay zero). The
 /// diff words go into bit-sliced counters; the pair total is the sum of
 /// the result, so no per-pair popcount is needed.
-fn count_pairs(flits: &StreamFlits, pairs: impl Iterator<Item = (usize, usize)>) -> Vec<u64> {
-    let mut counter = WireCounter::new(flits.words_per_flit);
+fn count_pairs(flits: &PackedFlits, pairs: impl Iterator<Item = (usize, usize)>) -> Vec<u64> {
+    let mut counter = WireCounter::new(flits.words_per_flit());
     for (a, b) in pairs {
         counter.add(flits.flit(a), flits.flit(b));
     }
@@ -605,6 +477,7 @@ pub fn word_popcount_histogram<W: DataWord>(words: &[W]) -> PopcountHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_bits::payload::PayloadBits;
     use btr_bits::word::Fx8Word;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -720,8 +593,8 @@ mod tests {
             let ord = build_stream_flits(&packets, &config, true);
             assert_eq!(base.len(), ord.len(), "{placement:?}");
             // Same value multiset: total popcount is invariant.
-            let pc = |fs: &StreamFlits| -> u64 {
-                fs.words.iter().map(|w| u64::from(w.count_ones())).sum()
+            let pc = |fs: &PackedFlits| -> u64 {
+                fs.words().iter().map(|w| u64::from(w.count_ones())).sum()
             };
             assert_eq!(pc(&base), pc(&ord), "{placement:?}");
         }
@@ -804,11 +677,11 @@ mod tests {
 
     #[test]
     fn measure_flits_handles_degenerate_inputs() {
-        let flits = StreamFlits::new(64);
+        let flits = PackedFlits::new(64);
         let r =
             measure_flits::<Fx8Word>(&flits, 8, Comparison::RandomPairs { pairs: 10, seed: 0 }, 0);
         assert_eq!(r.transitions, 0);
-        let one = StreamFlits::from_payloads(64, &[PayloadBits::zero(64)]);
+        let one = PackedFlits::from_payloads(64, &[PayloadBits::zero(64)]);
         let r =
             measure_flits::<Fx8Word>(&one, 8, Comparison::RandomPairs { pairs: 10, seed: 0 }, 2);
         assert_eq!(r.bt_per_flit, 0.0);
@@ -907,7 +780,7 @@ mod tests {
         comparison: Comparison,
     ) {
         let width = values_per_flit as u32 * W::WIDTH;
-        let packed = StreamFlits::from_payloads(width, flits);
+        let packed = PackedFlits::from_payloads(width, flits);
         let got = measure_flits::<W>(&packed, values_per_flit, comparison, 0);
         let (transitions, bt_per_flit, probs) =
             oracle_measure::<W>(flits, values_per_flit, comparison);
@@ -1054,7 +927,7 @@ mod tests {
     fn payload_round_trip_and_fields() {
         for width in [24, 64, 160, 256, 512] {
             let images = random_images(20, width, 6);
-            let packed = StreamFlits::from_payloads(width, &images);
+            let packed = PackedFlits::from_payloads(width, &images);
             assert_eq!(packed.len(), 20);
             assert_eq!(packed.flit(3).len(), width.div_ceil(64) as usize);
             assert_eq!(packed.to_payloads(), images);

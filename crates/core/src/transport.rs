@@ -37,6 +37,7 @@ use crate::flitize::{
 };
 use crate::ordering::{round_robin_assignment, OrderingMethod, SortScratch, TieBreak};
 use crate::task::{NeuronTask, RecoveredTask};
+use btr_bits::packed::PackedFlits;
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
 use btr_bits::transition::TransitionRecorder;
 use btr_bits::word::DataWord;
@@ -156,9 +157,9 @@ pub struct TransportScratch {
     pub(crate) idest: Vec<(usize, usize)>,
     /// Inverse weight permutation for the O2 pair index.
     pub(crate) inv_wperm: Vec<u16>,
-    /// Plain images recovered from delivered wire images (per-packet
-    /// codec inverse, or the per-link re-alignment narrow).
-    pub(crate) plain_buf: Vec<PayloadBits>,
+    /// Plain images recovered from delivered wire images by the
+    /// per-packet codec inverse (allocated on first use).
+    pub(crate) plain_buf: Option<PackedFlits>,
 }
 
 /// The metadata a packet carries out-of-band of its payload flits: the
@@ -320,9 +321,10 @@ impl From<RecoverError> for TransportError {
 /// element: `NeuronTask → OrderedTask → packets` on the sending side,
 /// `packets → RecoveredTask` on the receiving side.
 ///
-/// Implementations must round-trip: for any valid task,
-/// `decode_task(encode_task(t).wire_meta(), encode_task(t).payload_flits())`
-/// recovers a pairing with the same multiply-accumulate result.
+/// Implementations must round-trip: for any valid task, decoding
+/// `encode_task(t).payload_flits()` (packed into a [`PackedFlits`]) under
+/// `encode_task(t).wire_meta()` recovers a pairing with the same
+/// multiply-accumulate result.
 pub trait TransportSession<W: DataWord> {
     /// The session configuration.
     fn transport_config(&self) -> &TransportConfig;
@@ -335,7 +337,8 @@ pub trait TransportSession<W: DataWord> {
     /// too wide, oversized task).
     fn encode_task(&self, task: &NeuronTask<W>) -> Result<EncodedTask<W>, FlitizeError>;
 
-    /// Decodes delivered payload flits back into paired operands.
+    /// Decodes delivered payload flits (packed, as the mesh delivers
+    /// them) back into paired operands.
     ///
     /// # Errors
     ///
@@ -344,7 +347,7 @@ pub trait TransportSession<W: DataWord> {
     fn decode_task(
         &self,
         meta: &TaskWireMeta,
-        flits: &[PayloadBits],
+        flits: &PackedFlits,
     ) -> Result<RecoveredTask<W>, TransportError>;
 
     /// Checks every delivered payload flit's EDC field — the receiving
@@ -356,7 +359,7 @@ pub trait TransportSession<W: DataWord> {
     ///
     /// Returns [`TransportError`] when the images do not match the
     /// session's wire geometry at all (a harness bug, not a wire error).
-    fn verify_delivered_frames(&self, flits: &[PayloadBits]) -> Result<bool, TransportError>;
+    fn verify_delivered_frames(&self, flits: &PackedFlits) -> Result<bool, TransportError>;
 
     /// A per-link transition recorder matching this session's link width —
     /// the measurement end of the transport lifecycle (Fig. 8).
@@ -629,83 +632,90 @@ impl CodedTransport {
 
     /// Recovers the plain flit images from what the mesh delivered, per
     /// the session's codec scope. Per-packet scope runs the codec
-    /// inverse; per-link scope receives images the links already decoded,
-    /// possibly re-aligned onto the full link width with the side-channel
-    /// wires zeroed (the NoC widens narrower payload images at
-    /// injection). Returns `false` when `flits` already are the plain
-    /// `frame_width` images (data + EDC field) and can be borrowed
-    /// as-is; `true` when the plain images were written into `buf`
-    /// (cleared first; capacity is reused across packets, keeping the
-    /// receiver path allocation-free in steady state).
+    /// inverse into `buf` (reset first; its capacity is reused across
+    /// packets, keeping the receiver path allocation-free in steady state)
+    /// and returns `true`. Otherwise the delivered flits already hold the
+    /// plain frames (data + EDC field) in their low wires and are read in
+    /// place (`false`): either exactly `frame_width` wide, or — per-link
+    /// scope — link-aligned with the side-channel wires the mesh padded in
+    /// zeroed (images whose side channel is set are coded wires, not plain
+    /// images, and are refused).
     fn plain_images_into(
         &self,
-        flits: &[PayloadBits],
+        flits: &PackedFlits,
         frame_width: u32,
-        buf: &mut Vec<PayloadBits>,
+        buf: &mut Option<PackedFlits>,
     ) -> Result<bool, CodecError> {
         if self.config.codes_in_transport() {
-            buf.clear();
-            buf.reserve(flits.len());
+            let buf = buf.get_or_insert_with(|| PackedFlits::new(frame_width));
+            buf.reset(frame_width);
             let mut state = self.config.codec.seed_state(frame_width);
-            for wire in flits {
-                buf.push(state.decode_step(wire)?);
+            for i in 0..flits.len() {
+                buf.extend_from_words(state.decode_step(&flits.image(i))?.as_words());
             }
             return Ok(true);
+        }
+        if flits.is_empty() {
+            return Ok(false);
         }
         let extra = match self.config.scope {
             CodecScope::PerLink => self.config.codec.extra_wires(),
             CodecScope::PerPacket => 0, // identity codec
         };
-        if extra > 0 && flits.iter().all(|f| f.width() == frame_width + extra) {
-            // Link-aligned plain images: drop the side-channel wires the
-            // mesh padded in — refusing images whose side channel is not
-            // zero (those are coded wires, not plain images).
-            buf.clear();
-            buf.reserve(flits.len());
-            for (i, flit) in flits.iter().enumerate() {
-                if flit.field(frame_width, extra) != 0 {
+        if extra > 0 && flits.width() == frame_width + extra {
+            for i in 0..flits.len() {
+                if flits.field(i, frame_width, extra) != 0 {
                     return Err(CodecError::SideChannel { flit: i });
                 }
-                buf.push(flit.resized(frame_width));
             }
-            return Ok(true);
+            return Ok(false);
         }
-        for flit in flits {
-            if flit.width() != frame_width {
-                return Err(CodecError::WireWidth {
-                    got: flit.width(),
-                    want: frame_width,
-                });
-            }
+        if flits.width() != frame_width {
+            return Err(CodecError::WireWidth {
+                got: flits.width(),
+                want: frame_width,
+            });
         }
         Ok(false)
     }
 
-    /// The pre-pipeline decode path, preserved verbatim as a bit-exact
-    /// oracle: codec inverse, slot-level
-    /// [`OrderedTask::from_payload_flits`] reconstruction, then
-    /// [`OrderedTask::recover`]. Produces the identical pairing (same
-    /// pair order) as [`TransportSession::decode_task`]'s direct path.
+    /// The pre-pipeline decode path, preserved as a bit-exact oracle:
+    /// codec inverse, slot-level [`OrderedTask::from_payload_flits`]
+    /// reconstruction over [`PayloadBits`] images, then
+    /// [`OrderedTask::recover`]. Produces the identical pairing (same pair
+    /// order) as [`TransportSession::decode_task`]'s direct path.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError`] under the same conditions as
     /// [`TransportSession::decode_task`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the images differ in width.
     pub fn decode_task_reference<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
         flits: &[PayloadBits],
     ) -> Result<RecoveredTask<W>, TransportError> {
         let frame_width = self.config.frame_width_bits::<W>();
-        let mut buf = Vec::new();
-        let decoded = self.plain_images_into(flits, frame_width, &mut buf)?;
-        let plain: &[PayloadBits] = if decoded { &buf } else { flits };
+        let packed = PackedFlits::from_payloads(
+            flits.first().map_or(frame_width, PayloadBits::width),
+            flits,
+        );
+        let mut buf = None;
+        let decoded = self.plain_images_into(&packed, frame_width, &mut buf)?;
+        let plain: Vec<PayloadBits> = match buf {
+            Some(buf) if decoded => buf.to_payloads(),
+            // Read in place: narrow link-aligned frames to the frame.
+            _ => flits.iter().map(|f| f.resized(frame_width)).collect(),
+        };
         let ordered = OrderedTask::<W>::from_payload_flits(
             self.config.ordering,
             meta.num_pairs,
             self.config.values_per_flit,
             meta.pair_index.clone(),
-            plain,
+            &plain,
         )?;
         Ok(ordered.recover()?)
     }
@@ -719,7 +729,7 @@ impl CodedTransport {
     pub fn decode_task_cached<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
-        flits: &[PayloadBits],
+        flits: &PackedFlits,
         scratch: &mut TransportScratch,
     ) -> Result<RecoveredTask<W>, TransportError> {
         let mut out = RecoveredTask {
@@ -732,7 +742,8 @@ impl CodedTransport {
 
     /// [`CodedTransport::decode_task_cached`] into a caller-owned
     /// [`RecoveredTask`] (pairs buffer reused across packets) — the
-    /// fully allocation-free receiver path.
+    /// fully allocation-free receiver path. Lanes are read straight off
+    /// the packed delivered words.
     ///
     /// # Errors
     ///
@@ -740,7 +751,7 @@ impl CodedTransport {
     pub fn decode_task_into<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
-        flits: &[PayloadBits],
+        flits: &PackedFlits,
         scratch: &mut TransportScratch,
         out: &mut RecoveredTask<W>,
     ) -> Result<(), TransportError> {
@@ -748,7 +759,10 @@ impl CodedTransport {
         // Field-disjoint scratch borrows: the plain-image buffer is
         // filled here, the assignment buffer inside the recovery.
         let decoded = self.plain_images_into(flits, frame_width, &mut scratch.plain_buf)?;
-        let plain: &[PayloadBits] = if decoded { &scratch.plain_buf } else { flits };
+        let plain = match &scratch.plain_buf {
+            Some(buf) if decoded => buf,
+            _ => flits,
+        };
         recover_from_images(
             self.config.ordering,
             meta,
@@ -767,18 +781,17 @@ impl CodedTransport {
     /// Returns [`TransportError::Codec`] if the wire images do not match
     /// the session's link width, or [`TransportError::EmptyResponse`] if
     /// the packet carried no payload flits.
-    pub fn decode_response<W: DataWord>(
-        &self,
-        wire: &[PayloadBits],
-    ) -> Result<u64, TransportError> {
+    pub fn decode_response<W: DataWord>(&self, wire: &PackedFlits) -> Result<u64, TransportError> {
         let frame_width = self.config.frame_width_bits::<W>();
-        let image = wire.first().ok_or(TransportError::EmptyResponse)?;
+        if wire.is_empty() {
+            return Err(TransportError::EmptyResponse);
+        }
         if self.config.codes_in_transport() {
             // Responses are single-flit packets, so decoding the first
             // wire image against a fresh (per-packet) state is the whole
             // codec inverse.
             let mut state = self.config.codec.seed_state(frame_width);
-            return Ok(state.decode_step(image)?.field(0, 32));
+            return Ok(state.decode_step(&wire.image(0))?.field(0, 32));
         }
         // Plain image (identity codec, or per-link scope where the links
         // already decoded the wire): read the 32-bit field in place —
@@ -787,20 +800,20 @@ impl CodedTransport {
             CodecScope::PerLink => self.config.codec.extra_wires(),
             CodecScope::PerPacket => 0,
         };
-        if extra > 0 && image.width() == frame_width + extra {
-            if image.field(frame_width, extra) != 0 {
+        if extra > 0 && wire.width() == frame_width + extra {
+            if wire.field(0, frame_width, extra) != 0 {
                 return Err(CodecError::SideChannel { flit: 0 }.into());
             }
-            return Ok(image.field(0, 32));
+            return Ok(wire.field(0, 0, 32));
         }
-        if image.width() != frame_width {
+        if wire.width() != frame_width {
             return Err(CodecError::WireWidth {
-                got: image.width(),
+                got: wire.width(),
                 want: frame_width,
             }
             .into());
         }
-        Ok(image.field(0, 32))
+        Ok(wire.field(0, 0, 32))
     }
 
     /// Checks every delivered payload flit's EDC field against its data
@@ -820,7 +833,7 @@ impl CodedTransport {
     /// session's wire geometry at all (a harness bug, not a wire error).
     pub fn verify_delivered_frames<W: DataWord>(
         &self,
-        flits: &[PayloadBits],
+        flits: &PackedFlits,
     ) -> Result<bool, TransportError> {
         let edc = self.config.edc;
         if edc == EdcKind::None {
@@ -830,27 +843,22 @@ impl CodedTransport {
         let frame_width = self.config.frame_width_bits::<W>();
         if self.config.codes_in_transport() {
             let mut state = self.config.codec.seed_state(frame_width);
-            for wire in flits {
-                let frame = state.decode_step(wire)?;
+            for i in 0..flits.len() {
+                let frame = state.decode_step(&flits.image(i))?;
                 if !edc.verify(&frame, data_width) {
                     return Ok(false);
                 }
             }
             return Ok(true);
         }
-        for flit in flits {
-            if flit.width() < frame_width {
-                return Err(CodecError::WireWidth {
-                    got: flit.width(),
-                    want: frame_width,
-                }
-                .into());
+        if !flits.is_empty() && flits.width() < frame_width {
+            return Err(CodecError::WireWidth {
+                got: flits.width(),
+                want: frame_width,
             }
-            if !edc.verify(flit, data_width) {
-                return Ok(false);
-            }
+            .into());
         }
-        Ok(true)
+        Ok((0..flits.len()).all(|i| edc.verify(&flits.image(i), data_width)))
     }
 }
 
@@ -866,12 +874,12 @@ impl<W: DataWord> TransportSession<W> for CodedTransport {
     fn decode_task(
         &self,
         meta: &TaskWireMeta,
-        flits: &[PayloadBits],
+        flits: &PackedFlits,
     ) -> Result<RecoveredTask<W>, TransportError> {
         self.decode_task_cached(meta, flits, &mut TransportScratch::default())
     }
 
-    fn verify_delivered_frames(&self, flits: &[PayloadBits]) -> Result<bool, TransportError> {
+    fn verify_delivered_frames(&self, flits: &PackedFlits) -> Result<bool, TransportError> {
         CodedTransport::verify_delivered_frames::<W>(self, flits)
     }
 }
@@ -885,7 +893,7 @@ fn recover_from_images<W: DataWord>(
     method: OrderingMethod,
     meta: &TaskWireMeta,
     values_per_flit: usize,
-    plain: &[PayloadBits],
+    plain: &PackedFlits,
     assign_scratch: &mut Vec<(usize, usize)>,
     out: &mut RecoveredTask<W>,
 ) -> Result<(), TransportError> {
@@ -904,7 +912,7 @@ fn recover_from_images<W: DataWord>(
     }
     let half = values_per_flit / 2;
     let lane = |f: usize, s: usize| -> W {
-        W::from_bits_u64(plain[f].field(s as u32 * W::WIDTH, W::WIDTH))
+        W::from_bits_u64(plain.field(f, s as u32 * W::WIDTH, W::WIDTH))
     };
 
     // Occupied-slot geometry is fully determined by (num_pairs, lanes):
@@ -1115,6 +1123,11 @@ mod tests {
     use crate::ordering::descending_popcount_order;
     use btr_bits::word::Fx8Word;
 
+    /// Wire images packed the way the mesh delivers them.
+    fn packed(images: &[PayloadBits]) -> PackedFlits {
+        PackedFlits::from_payloads(images[0].width(), images)
+    }
+
     fn fx_task(n: usize) -> NeuronTask<Fx8Word> {
         let inputs: Vec<Fx8Word> = (0..n)
             .map(|i| Fx8Word::new((i as i8).wrapping_mul(7)))
@@ -1142,7 +1155,7 @@ mod tests {
                         });
                         let enc = session.encode_task(&task).unwrap();
                         let rec = session
-                            .decode_task(&enc.wire_meta(), &enc.payload_flits())
+                            .decode_task(&enc.wire_meta(), &packed(&enc.payload_flits()))
                             .unwrap();
                         assert_eq!(
                             rec.mac_i64(),
@@ -1170,7 +1183,7 @@ mod tests {
                     let reference = session.encode_task_reference::<Fx8Word>(&task).unwrap();
                     assert_eq!(fast, reference, "{ordering} {codec} n={n}");
                     let rec_fast: RecoveredTask<Fx8Word> = session
-                        .decode_task(&fast.wire_meta(), &fast.payload_flits())
+                        .decode_task(&fast.wire_meta(), &packed(&fast.payload_flits()))
                         .unwrap();
                     let rec_ref: RecoveredTask<Fx8Word> = session
                         .decode_task_reference(&reference.wire_meta(), &reference.payload_flits())
@@ -1239,7 +1252,7 @@ mod tests {
             assert_eq!(pl.index_overhead_bits(), pp.index_overhead_bits());
             // The plain images decode directly...
             let rec: RecoveredTask<Fx8Word> = per_link
-                .decode_task(&pl.wire_meta(), &pl.payload_flits())
+                .decode_task(&pl.wire_meta(), &packed(&pl.payload_flits()))
                 .unwrap();
             assert_eq!(rec.mac_i64(), task.mac_i64(), "{codec}");
             // ...and so do the same images re-aligned onto the full link
@@ -1251,18 +1264,19 @@ mod tests {
                 .iter()
                 .map(|f| f.resized(link_width))
                 .collect();
-            let rec2: RecoveredTask<Fx8Word> =
-                per_link.decode_task(&pl.wire_meta(), &aligned).unwrap();
+            let rec2: RecoveredTask<Fx8Word> = per_link
+                .decode_task(&pl.wire_meta(), &packed(&aligned))
+                .unwrap();
             assert_eq!(rec2.pairs, rec.pairs, "{codec}");
             // Responses likewise travel plain and decode at either width.
             let resp = per_link.encode_response::<Fx8Word>(0xabcd);
             assert_eq!(resp.width(), 128);
             let bits = per_link
-                .decode_response::<Fx8Word>(std::slice::from_ref(&resp))
+                .decode_response::<Fx8Word>(&packed(std::slice::from_ref(&resp)))
                 .unwrap();
             assert_eq!(bits, 0xabcd);
             let bits = per_link
-                .decode_response::<Fx8Word>(&[resp.resized(link_width)])
+                .decode_response::<Fx8Word>(&packed(&[resp.resized(link_width)]))
                 .unwrap();
             assert_eq!(bits, 0xabcd, "{codec}");
         }
@@ -1280,7 +1294,7 @@ mod tests {
         let err = TransportSession::<Fx8Word>::decode_task(
             &coded,
             &enc.wire_meta(),
-            &enc.payload_flits(),
+            &packed(&enc.payload_flits()),
         )
         .unwrap_err();
         assert!(matches!(err, TransportError::Codec(_)));
@@ -1296,11 +1310,13 @@ mod tests {
             let wire = session.encode_response::<Fx8Word>(0xdead_beef);
             assert_eq!(wire.width(), 128 + codec.extra_wires());
             let bits = session
-                .decode_response::<Fx8Word>(std::slice::from_ref(&wire))
+                .decode_response::<Fx8Word>(&packed(std::slice::from_ref(&wire)))
                 .unwrap();
             assert_eq!(bits, 0xdead_beef, "{codec}");
             // A response with no payload flits is an error, not a 0 MAC.
-            let err = session.decode_response::<Fx8Word>(&[]).unwrap_err();
+            let err = session
+                .decode_response::<Fx8Word>(&PackedFlits::new(wire.width()))
+                .unwrap_err();
             assert_eq!(err, TransportError::EmptyResponse);
             assert!(err.to_string().contains("no payload flits"));
         }
@@ -1333,8 +1349,9 @@ mod tests {
         let enc = TransportSession::<Fx8Word>::encode_task(&session, &task).unwrap();
         let flits = enc.payload_flits();
         let short = &flits[..1];
-        let err = TransportSession::<Fx8Word>::decode_task(&session, &enc.wire_meta(), short)
-            .unwrap_err();
+        let err =
+            TransportSession::<Fx8Word>::decode_task(&session, &enc.wire_meta(), &packed(short))
+                .unwrap_err();
         assert!(matches!(err, TransportError::Geometry(_)));
         assert!(err.to_string().contains("decode failed"));
     }

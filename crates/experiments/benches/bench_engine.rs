@@ -47,7 +47,6 @@ use btr_noc::sim::{DeliveredPacket, Simulator};
 use btr_noc::stats::LinkSlab;
 use btr_noc::EngineMode;
 use criterion::{black_box, BatchSize, Criterion};
-use experiments::json::Json;
 use experiments::sweep::{expand_grid, run_cells, MeshSpec, SweepCell, Workload};
 use experiments::workloads::{lenet, WeightSource};
 use rand::rngs::StdRng;
@@ -357,29 +356,7 @@ fn main() {
 /// Reads one `BENCH_<group>.json` back (exercising the round-trip CI
 /// relies on) and returns a metric lookup over its results.
 fn bench_metrics(group: &str) -> impl Fn(&str, &str) -> f64 {
-    let path = criterion::json_dir().join(format!("BENCH_{group}.json"));
-    let text = std::fs::read_to_string(&path).expect("bench JSON written");
-    let doc = Json::parse(&text).expect("bench JSON parses");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some(experiments::json::BENCH_SCHEMA),
-        "unexpected bench schema"
-    );
-    let results = match doc.get("results") {
-        Some(Json::Arr(items)) => items.clone(),
-        other => panic!("bench JSON has no results array: {other:?}"),
-    };
-    move |name: &str, field: &str| -> f64 {
-        let entry = results
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-            .unwrap_or_else(|| panic!("no bench entry {name:?}"));
-        match entry.get(field) {
-            Some(Json::F64(v)) => *v,
-            Some(Json::U64(v)) => *v as f64,
-            other => panic!("{name}.{field} is not a number: {other:?}"),
-        }
-    }
+    experiments::json::bench_metrics(&criterion::json_dir().join(format!("BENCH_{group}.json")))
 }
 
 /// Prints cells/sec per engine plus the engine-phase kernel speedup,

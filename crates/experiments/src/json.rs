@@ -16,6 +16,41 @@ use std::fmt::Write as _;
 /// `btr-lint`'s schema-coherence rule keeps the copies identical.
 pub const BENCH_SCHEMA: &str = "btr-bench-v1";
 
+/// Reads a bench report (`BENCH_<group>.json`, schema [`BENCH_SCHEMA`])
+/// back and returns a lookup from `(entry name, field)` to its number —
+/// the round trip every bench smoke gate reads its timings through.
+///
+/// # Panics
+///
+/// Panics if the file is missing, does not parse, carries another
+/// schema, or a looked-up entry or numeric field is absent: the benches
+/// assert on these.
+pub fn bench_metrics(path: &std::path::Path) -> impl Fn(&str, &str) -> f64 {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("bench JSON {} not written: {e}", path.display()));
+    let doc = Json::parse(&text).expect("bench JSON parses");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some(BENCH_SCHEMA),
+        "unexpected bench schema"
+    );
+    let results = match doc.get("results") {
+        Some(Json::Arr(items)) => items.clone(),
+        other => panic!("bench JSON has no results array: {other:?}"),
+    };
+    move |name: &str, field: &str| -> f64 {
+        let entry = results
+            .iter()
+            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no bench entry {name:?}"));
+        match entry.get(field) {
+            Some(Json::F64(v)) => *v,
+            Some(Json::U64(v)) => *v as f64,
+            other => panic!("{name}.{field} is not a number: {other:?}"),
+        }
+    }
+}
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {

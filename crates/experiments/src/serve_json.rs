@@ -1,6 +1,13 @@
 //! The `btr-serve-v2` result schema: one JSON document per service run,
 //! written by the `btr-serve` binary and consumed alongside the sweep
 //! and bench trajectories (see EXPERIMENTS.md).
+//!
+//! The `per_session` rows are scheduling-dependent: pool workers race
+//! for dispatches, so which session serves which batch (and therefore
+//! each row's dispatches, inferences, transitions, cycles and busy time)
+//! can differ between identical runs. Fleet totals repeat when every
+//! batching window fills (`tests/serve_parity.rs` pins that); compare
+//! runs or builds on those, never on the per-session rows.
 
 use crate::json::Json;
 use btr_serve::{Histogram, ServeConfig, ServeReport};

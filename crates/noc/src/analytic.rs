@@ -51,8 +51,11 @@
 //! [`LinkCodecState`]: btr_core::codec::LinkCodecState
 
 use crate::config::{NocConfig, NodeId};
+use crate::packet::decode_head_words;
 use crate::routing::{hop_count, route, Direction};
-use crate::sim::{DeliveredPacket, Simulator, NUM_PORTS};
+use crate::sim::{Delivery, Simulator, NUM_PORTS};
+use btr_bits::packed;
+use btr_bits::payload::PayloadBits;
 use serde::{Deserialize, Serialize};
 
 /// Which engine evaluates traffic phases.
@@ -242,7 +245,7 @@ impl Simulator {
             self.ni_pending.iter().enumerate().flat_map(|(src, queue)| {
                 queue
                     .iter()
-                    .map(move |p| (src, self.packets[p.packet as usize].flits[0].dst))
+                    .map(move |p| (src, self.packets[p.packet as usize].dst as NodeId))
             }),
         )
     }
@@ -285,6 +288,11 @@ impl Simulator {
 
         let mut max_arrival = 0u64;
         let mut replayed = 0u64;
+        let width = self.config.link_width_bits;
+        let k = self.words_per_flit;
+        // Per-link codec lanes take `PayloadBits` images: one reused
+        // buffer holds the current packet's payload flits in that form.
+        let mut lane_images: Vec<PayloadBits> = Vec::new();
         for src in 0..self.config.num_nodes() {
             // The NI serializes its queue: each packet starts injecting
             // the cycle after the previous one fully left.
@@ -296,56 +304,54 @@ impl Simulator {
                 );
                 self.ni_pending_total -= 1;
                 let pid = pending.packet as usize;
-                let num_flits = self.packets[pid].flits.len();
-                let dst = self.packets[pid].flits[0].dst;
+                let slot = self.packets[pid];
+                let num_flits = slot.flits as usize;
+                let dst = slot.dst as NodeId;
+                let words = &self.arena[slot.offset..slot.offset + num_flits * k];
+                let (head, last) = (&words[..k], &words[words.len() - k..]);
 
                 // On raw wires the packet's flit sequence is identical on
                 // every link it crosses, so the intra-packet transition
-                // sum is a per-packet constant: compute it once, then each
-                // hop is O(1) (boundary transition + accumulate). Per-link
-                // codec lanes re-image the stream per link, so each hop
-                // instead runs the bulk lane kernel
-                // ([`crate::stats::LinkSlab::observe_payload_run`]): one
-                // XOR+popcount pass advancing the link's persistent tx/rx
-                // lanes, no materialized intermediate wires, no per-flit
-                // decode — the head still travels uncoded through
+                // sum is a per-packet constant: compute it once, straight
+                // off the arena words, then each hop is O(1) (boundary
+                // transition + accumulate). Per-link codec lanes re-image
+                // the stream per link, so each hop instead runs the bulk
+                // lane kernel ([`crate::stats::LinkSlab::observe_payload_run`]):
+                // one XOR+popcount pass advancing the link's persistent
+                // tx/rx lanes, no materialized intermediate wires, no
+                // per-flit decode — the head still travels uncoded through
                 // `observe`, exactly as the cycle engine's walk does.
                 let bulk_inject = !self.inject_links.has_link_codec();
                 let bulk_out = !self.out_links.has_link_codec();
                 let intra: u64 = if bulk_inject || bulk_out {
-                    let flits = &self.packets[pid].flits;
-                    (1..num_flits)
-                        .map(|s| u64::from(flits[s].payload.transitions_to(&flits[s - 1].payload)))
+                    words
+                        .chunks_exact(k)
+                        .zip(words[k..].chunks_exact(k))
+                        .map(|(a, b)| u64::from(packed::transitions(a, b)))
                         .sum()
                 } else {
                     0
                 };
-                debug_assert!(
-                    self.packets[pid]
-                        .flits
-                        .iter()
-                        .enumerate()
-                        .all(|(seq, f)| f.kind.is_head() == (seq == 0)),
-                    "wormhole packets carry exactly one head flit, first"
-                );
+                if !(bulk_inject && bulk_out) {
+                    lane_images.clear();
+                    lane_images.extend(
+                        words[k..]
+                            .chunks_exact(k)
+                            .map(|w| PayloadBits::from_words(width, w)),
+                    );
+                }
 
                 // Injection link NI→router, in flit order. Delivered
                 // payloads need no rewrite on either path: the wires are
                 // perfect here (faults force the cycle engine), so the
                 // per-link decode-and-realign is the identity.
                 if bulk_inject {
-                    self.inject_links.observe_run(
-                        src,
-                        &self.packets[pid].flits[0].payload,
-                        &self.packets[pid].flits[num_flits - 1].payload,
-                        intra,
-                        num_flits as u64,
-                    );
-                } else {
-                    let flits = &self.packets[pid].flits;
-                    self.inject_links.observe(src, &flits[0].payload);
                     self.inject_links
-                        .observe_payload_run(src, flits[1..].iter().map(|f| &f.payload));
+                        .observe_run(src, head, last, intra, num_flits as u64);
+                } else {
+                    self.inject_links.observe(src, head);
+                    self.inject_links
+                        .observe_payload_run(src, lane_images.iter());
                 }
                 // Every router-output link on the dimension-order path,
                 // ejection link (`Local` port at the destination) last.
@@ -354,18 +360,11 @@ impl Simulator {
                     let dir = route(&self.config, cur, dst);
                     let link = cur * NUM_PORTS + dir.index();
                     if bulk_out {
-                        self.out_links.observe_run(
-                            link,
-                            &self.packets[pid].flits[0].payload,
-                            &self.packets[pid].flits[num_flits - 1].payload,
-                            intra,
-                            num_flits as u64,
-                        );
-                    } else {
-                        let flits = &self.packets[pid].flits;
-                        self.out_links.observe(link, &flits[0].payload);
                         self.out_links
-                            .observe_payload_run(link, flits[1..].iter().map(|f| &f.payload));
+                            .observe_run(link, head, last, intra, num_flits as u64);
+                    } else {
+                        self.out_links.observe(link, head);
+                        self.out_links.observe_payload_run(link, lane_images.iter());
                     }
                     if dir == Direction::Local {
                         break;
@@ -377,31 +376,22 @@ impl Simulator {
                 // injected flit, one per hop, one to land in the router,
                 // one to eject into the NI.
                 let hops = hop_count(&self.config, src, dst) as u64;
-                let start = cursor.max(self.packets[pid].inject_cycle);
+                let start = cursor.max(slot.inject_cycle);
                 let arrival = start + num_flits as u64 + hops + 1;
                 cursor = start + num_flits as u64;
                 max_arrival = max_arrival.max(arrival);
                 replayed += 1;
 
-                // Deliver: decode the head exactly like the receiving NI,
-                // release the interned flit storage.
+                // Deliver: decode the head exactly like the receiving NI.
+                let (head_src, _dst, _len, tag) = decode_head_words(head, width);
                 let slot = &mut self.packets[pid];
-                let (head_src, _dst, _len, tag) =
-                    crate::packet::decode_head_payload(&slot.flits[0].payload);
-                slot.src = head_src;
+                slot.src = head_src as u32;
                 slot.tag = tag;
-                let flits = std::mem::take(&mut slot.flits);
-                let delivered = DeliveredPacket {
-                    packet_id: pid as u64,
-                    src: head_src,
-                    dst,
-                    tag,
-                    payload_flits: flits.iter().skip(1).map(|f| f.payload).collect(),
-                    inject_cycle: slot.inject_cycle,
+                self.latencies.push(arrival - slot.inject_cycle);
+                self.ni_delivered[dst].push_back(Delivery {
+                    packet: pending.packet,
                     arrival_cycle: arrival,
-                };
-                self.latencies.push(delivered.latency());
-                self.ni_delivered[dst].push_back(delivered);
+                });
                 self.delivered_pending += 1;
                 self.flits_delivered += num_flits as u64;
                 self.packets_delivered += 1;
@@ -463,16 +453,16 @@ impl Simulator {
             );
             // Compare delivered contents (payloads, addressing, tags) but
             // not arrival cycles; order per node is tag-normalized.
-            let key = |d: &DeliveredPacket| (d.tag, d.src, d.packet_id);
-            let mut mine: Vec<&DeliveredPacket> = self.ni_delivered[node].iter().collect();
-            let mut theirs: Vec<&DeliveredPacket> = oracle.ni_delivered[node].iter().collect();
-            mine.sort_by_key(|d| key(d));
-            theirs.sort_by_key(|d| key(d));
+            let mut mine: Vec<_> = self.peek_delivered(node).collect();
+            let mut theirs: Vec<_> = oracle.peek_delivered(node).collect();
+            let key = |d: &(u64, NodeId, NodeId, u64, &[u64])| (d.3, d.1, d.0);
+            mine.sort_by_key(key);
+            theirs.sort_by_key(key);
             assert_eq!(mine.len(), theirs.len(), "deliveries at node {node}");
             for (m, t) in mine.iter().zip(theirs.iter()) {
                 assert_eq!(
-                    (m.src, m.dst, m.tag, &m.payload_flits),
-                    (t.src, t.dst, t.tag, &t.payload_flits),
+                    (m.1, m.2, m.3, m.4),
+                    (t.1, t.2, t.3, t.4),
                     "delivered packet diverges from the cycle oracle at node {node}"
                 );
             }
@@ -680,7 +670,7 @@ mod tests {
         for ((src, payload), d) in sent.iter().zip(&got) {
             assert_eq!(d.src, *src);
             // Delivered images are link-width aligned; compare data bits.
-            for (sent_flit, got_flit) in payload.iter().zip(&d.payload_flits) {
+            for (sent_flit, got_flit) in payload.iter().zip(&d.payload_flits.to_payloads()) {
                 assert_eq!(got_flit.resized(sent_flit.width()), *sent_flit);
             }
         }

@@ -508,7 +508,10 @@ impl LegacySimulator {
                 src: done.src,
                 dst: node,
                 tag: done.tag,
-                payload_flits: done.payload_flits,
+                payload_flits: btr_bits::packed::PackedFlits::from_payloads(
+                    self.config.link_width_bits,
+                    &done.payload_flits,
+                ),
                 inject_cycle,
                 arrival_cycle: self.cycle,
             };

@@ -16,7 +16,10 @@
 //! * [`fault`] — deterministic per-link wire-error injection (seed-split
 //!   RNG streams, per-flit or burst mode) behind the EDC + retransmission
 //!   recovery protocol in [`session`];
-//! * [`flit`] / [`packet`] — the wire units and packet→flit serialization;
+//! * [`packet`] — packets and their head-flit addressing image;
+//! * [`flit`] — per-flit structs with kinds, as the legacy engine
+//!   carries them (the flat engine keeps flits as packed words in one
+//!   arena, see [`sim`]);
 //! * [`routing`] — X-Y (and Y-X ablation) dimension-order routing;
 //! * [`session`] — task injection/decode through the shared
 //!   `btr_core::transport` pipeline;

@@ -2,6 +2,7 @@
 
 use crate::config::NodeId;
 use crate::flit::{Flit, FlitKind};
+use btr_bits::packed;
 use btr_bits::payload::PayloadBits;
 use serde::{Deserialize, Serialize};
 
@@ -144,6 +145,50 @@ pub fn decode_head_payload(p: &PayloadBits) -> (NodeId, NodeId, u32, u64) {
     (src, dst, len, tag)
 }
 
+/// Writes the head-flit image of [`encode_head_payload`] straight into
+/// one flit's packed words (zero on entry) — the simulator's flit-arena
+/// form of the head flit, bit-identical to the [`PayloadBits`] image.
+///
+/// # Panics
+///
+/// Panics if the link is narrower than the 48 addressing wires.
+pub(crate) fn encode_head_words(
+    words: &mut [u64],
+    link_width_bits: u32,
+    src: NodeId,
+    dst: NodeId,
+    num_payload_flits: u32,
+    tag: u64,
+) {
+    assert!(
+        link_width_bits >= 48,
+        "a {link_width_bits}-bit link cannot carry the 48-bit head addressing"
+    );
+    packed::or_field(words, 0, 16, src as u64);
+    packed::or_field(words, 16, 16, dst as u64);
+    packed::or_field(words, 32, 16, u64::from(num_payload_flits));
+    let tag_bits = 64.min(link_width_bits - 48);
+    if tag_bits > 0 {
+        packed::or_field(words, 48, tag_bits, tag);
+    }
+}
+
+/// Decodes the head-flit metadata fields from one flit's packed words
+/// (inverse of [`encode_head_words`]; same fields as
+/// [`decode_head_payload`]).
+pub(crate) fn decode_head_words(words: &[u64], link_width_bits: u32) -> (NodeId, NodeId, u32, u64) {
+    let src = packed::field(words, 0, 16) as NodeId;
+    let dst = packed::field(words, 16, 16) as NodeId;
+    let len = packed::field(words, 32, 16) as u32;
+    let tag_bits = 64.min(link_width_bits.saturating_sub(48));
+    let tag = if tag_bits > 0 {
+        packed::field(words, 48, tag_bits)
+    } else {
+        0
+    };
+    (src, dst, len, tag)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,5 +241,25 @@ mod tests {
     fn oversize_payload_rejected() {
         let p = Packet::new(0, 1, vec![image(256, 1)], 0);
         let _ = p.to_flits(0, 128);
+    }
+
+    #[test]
+    fn head_words_match_the_head_image() {
+        for width in [48, 50, 64, 100, 112, 128, 129, 136, 512, 513, 1024] {
+            for (src, dst, len, tag) in [
+                (0, 0, 0, 0),
+                (12, 63, 51, 0xdead_beef),
+                (65535, 1, 7, u64::MAX),
+            ] {
+                let image = encode_head_payload(width, src, dst, len, tag);
+                let mut words = vec![0; width.div_ceil(64) as usize];
+                encode_head_words(&mut words, width, src, dst, len, tag);
+                assert_eq!(words, image.as_words(), "width {width}");
+                assert_eq!(
+                    decode_head_words(&words, width),
+                    decode_head_payload(&image)
+                );
+            }
+        }
     }
 }

@@ -38,7 +38,6 @@
 //! ```
 
 use crate::fault::FaultConfig;
-use crate::packet::Packet;
 use crate::sim::{DeliveredPacket, InjectError, Simulator};
 use btr_bits::payload::PayloadBits;
 use btr_bits::word::DataWord;
@@ -245,9 +244,7 @@ impl<S> TaskPort<S> {
     {
         let encoded = self.session.encode_task(task)?;
         let meta = encoded.wire_meta();
-        let payload = encoded.payload_flits();
-        self.retain(src, dst, tag, &payload);
-        sim.inject(Packet::new(src, dst, payload, tag))?;
+        self.send_images(sim, src, dst, &encoded.into_wire_flits(), tag)?;
         Ok(meta)
     }
 
@@ -291,8 +288,7 @@ impl<S> TaskPort<S> {
         let (meta, payload, index_overhead_bits, codec_overhead_bits, edc_overhead_bits) =
             encoded.into_parts();
         let flit_count = payload.len() + 1;
-        self.retain(src, dst, tag, &payload);
-        sim.inject(Packet::new(src, dst, payload, tag))?;
+        self.send_images(sim, src, dst, &payload, tag)?;
         Ok(SentTask {
             meta,
             flit_count,
@@ -318,8 +314,28 @@ impl<S> TaskPort<S> {
         payload: Vec<PayloadBits>,
         tag: u64,
     ) -> Result<u64, InjectError> {
-        self.retain(src, dst, tag, &payload);
-        sim.inject(Packet::new(src, dst, payload, tag))
+        self.send_images(sim, src, dst, &payload, tag)
+    }
+
+    /// [`TaskPort::send_flits`] over borrowed wire images: the simulator
+    /// writes them straight into its flit arena, so a caller can inject
+    /// e.g. a one-flit response from a stack image with no per-packet
+    /// allocation (a replay copy is still retained when recovery is
+    /// armed).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InjectError`] if the simulator rejects the packet.
+    pub fn send_images(
+        &self,
+        sim: &mut Simulator,
+        src: usize,
+        dst: usize,
+        payload: &[PayloadBits],
+        tag: u64,
+    ) -> Result<u64, InjectError> {
+        self.retain(src, dst, tag, payload);
+        sim.inject_flits(src, dst, payload, tag)
     }
 
     /// The receiving NI's acceptance check: verifies every payload
@@ -391,13 +407,8 @@ impl<S> TaskPort<S> {
             // losslessness is unaffected — only the BT cost moves).
             sim.reseed_codec_lanes();
         }
-        sim.inject(Packet::new(
-            delivered.src,
-            delivered.dst,
-            replay,
-            delivered.tag,
-        ))
-        .expect("replaying a packet the mesh already carried");
+        sim.inject_flits(delivered.src, delivered.dst, &replay, delivered.tag)
+            .expect("replaying a packet the mesh already carried");
         Ok(None)
     }
 
@@ -482,10 +493,7 @@ mod tests {
             let meta = port.send_task(&mut sim, 2, 13, &t, 9).unwrap();
             sim.run_until_idle(10_000).unwrap();
             let delivered = sim.drain_delivered(13).pop().expect("delivered");
-            assert!(delivered
-                .payload_flits
-                .iter()
-                .all(|f| f.width() == link_width));
+            assert_eq!(delivered.payload_flits.width(), link_width);
             let rec: btr_core::task::RecoveredTask<Fx8Word> =
                 port.receive_task(&meta, &delivered).unwrap();
             assert_eq!(rec.mac_i64(), t.mac_i64(), "{codec}");

@@ -25,9 +25,23 @@
 //! vectors instead of nested `Vec<Vec<_>>` / `VecDeque` / `HashMap`
 //! structures:
 //!
-//! * every packet's flits are serialized **once** at injection into a
-//!   per-packet slab; what moves through rings and link pipelines is an
-//!   8-byte [`FlitRef`], not the 100+-byte flit image;
+//! * every packet's flits are written **once**, at injection, into one
+//!   word arena shared by all in-flight packets: `width.div_ceil(64)`
+//!   words per flit (the [`btr_bits::packed`] layout, two words on a
+//!   128-bit link), the packet's flits contiguous. A packet's slab entry
+//!   is a small header (inject cycle, source, destination, tag, arena
+//!   offset, flit count); head and tail are flit positions, not stored
+//!   kinds. What moves through rings and link pipelines is an 8-byte
+//!   [`FlitRef`] (packet id, flit position);
+//! * links record a flit straight off its arena words
+//!   ([`LinkSlab::observe`]); the analytic replay sums a packet's
+//!   intra-packet transitions off the same words;
+//! * delivery copies a packet's payload words once, into the caller's
+//!   reused [`DeliveredPacket`] buffers
+//!   ([`Simulator::drain_all_delivered_into`]), and releases them in the
+//!   arena. Released words are reclaimed by compacting the live packets
+//!   to the front once they are at least half the arena, so the arena
+//!   tracks the in-flight working set, not the run's history;
 //! * input VC FIFOs are fixed-capacity rings in one node-major buffer
 //!   (`(node, port, vc)` → ring of `vc_buffer_depth` ref slots);
 //! * route/output-VC decisions, output allocations and credits are dense
@@ -43,10 +57,10 @@
 //! seeded workloads.
 
 use crate::config::{NocConfig, NodeId};
-use crate::flit::Flit;
-use crate::packet::Packet;
+use crate::packet::{decode_head_words, encode_head_words, Packet};
 use crate::routing::{route, Direction};
 use crate::stats::{LatencyStats, LinkSlab, LinkStat, NocStats};
+use btr_bits::packed::PackedFlits;
 use btr_bits::payload::PayloadBits;
 use std::collections::VecDeque;
 
@@ -54,6 +68,10 @@ pub(crate) const LOCAL: usize = 0;
 pub(crate) const NUM_PORTS: usize = 5;
 /// Sentinel for "no route / no output VC assigned".
 const UNSET: usize = usize::MAX;
+/// Arena offset of a packet whose flits were released (drained).
+const RELEASED: usize = usize::MAX;
+/// Released arena words below which compaction is not worth a pass.
+const COMPACT_MIN_WORDS: usize = 1 << 10;
 
 /// Error returned by [`Simulator::inject`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +122,12 @@ impl std::fmt::Display for StallError {
 impl std::error::Error for StallError {}
 
 /// A packet delivered to its destination NI.
+///
+/// The payload is the packet's flits as packed link-width words, copied
+/// out of the simulator's flit arena at drain time. Draining into a
+/// reused vector ([`Simulator::drain_all_delivered_into`]) recycles the
+/// previous batch's payload buffers, so steady-state polling allocates
+/// nothing per packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeliveredPacket {
     /// Simulator-global packet id.
@@ -114,8 +138,9 @@ pub struct DeliveredPacket {
     pub dst: NodeId,
     /// Correlation tag from the injected packet.
     pub tag: u64,
-    /// Payload flit images (head flit excluded), in order.
-    pub payload_flits: Vec<PayloadBits>,
+    /// Payload flit images (head flit excluded), in order, each as wide
+    /// as the link.
+    pub payload_flits: PackedFlits,
     /// Cycle the packet was injected (queued at the source NI).
     pub inject_cycle: u64,
     /// Cycle the tail flit was ejected.
@@ -130,7 +155,7 @@ impl DeliveredPacket {
     }
 }
 
-/// 8-byte handle to a flit interned in the packet slab.
+/// 8-byte handle to a flit in the arena: its packet and position.
 #[derive(Debug, Clone, Copy)]
 struct FlitRef {
     /// Packet id (slab index).
@@ -148,20 +173,29 @@ struct LinkArrival {
     fref: FlitRef,
 }
 
-/// Slab entry per injected packet: the interned flits, inject metadata and
-/// receive-side decode state. The flit storage — the bulk of a packet's
-/// footprint — is released when the packet is delivered; the fixed-size
-/// slot header (~56 bytes) persists for the simulator's lifetime so
-/// packet ids stay direct slab indices.
-#[derive(Debug, Clone)]
+/// Slab header per injected packet. The flits themselves live in the
+/// simulator's word arena at `offset`; the header persists for the
+/// simulator's lifetime so packet ids stay direct slab indices.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PacketSlot {
     pub(crate) inject_cycle: u64,
-    /// The packet's flits in wire order (freed on delivery).
-    pub(crate) flits: Vec<Flit>,
-    /// Source decoded from the head flit image (like a real NI would).
-    pub(crate) src: NodeId,
-    /// Tag decoded from the head flit image.
+    /// Tag; replaced by the tag decoded from the head image on arrival
+    /// (like a real NI, which sees only the head's tag wires).
     pub(crate) tag: u64,
+    /// Arena word offset of the head flit ([`RELEASED`] once drained).
+    pub(crate) offset: usize,
+    /// Source; replaced by the source decoded from the head on arrival.
+    pub(crate) src: u32,
+    pub(crate) dst: u32,
+    /// Flits on the wire, head included; flit `flits - 1` is the tail.
+    pub(crate) flits: u32,
+}
+
+/// A packet waiting in an NI's delivered queue until it is drained.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Delivery {
+    pub(crate) packet: u32,
+    pub(crate) arrival_cycle: u64,
 }
 
 /// A packet queued at its source NI, consumed flit by flit.
@@ -235,7 +269,8 @@ pub struct Simulator {
     ni_vc_rr: Vec<usize>,
     /// Credits toward the router's local input VCs: `node * num_vcs + vc`.
     ni_credits: Vec<usize>,
-    pub(crate) ni_delivered: Vec<VecDeque<DeliveredPacket>>,
+    /// Delivered packets per destination NI, awaiting a drain.
+    pub(crate) ni_delivered: Vec<VecDeque<Delivery>>,
 
     // --- link pipelines (filled this cycle, consumed next cycle) ---
     link_inflight: Vec<LinkArrival>,
@@ -247,8 +282,18 @@ pub struct Simulator {
     /// One column per injection link.
     pub(crate) inject_links: LinkSlab,
 
-    /// Per-packet slab indexed by packet id.
+    /// Per-packet headers indexed by packet id.
     pub(crate) packets: Vec<PacketSlot>,
+    /// The flit arena: every live packet's flits, `words_per_flit` words
+    /// each, packets in id order (see the module docs).
+    pub(crate) arena: Vec<u64>,
+    pub(crate) words_per_flit: usize,
+    /// Arena words of drained packets, not yet compacted away.
+    arena_released: usize,
+    /// No packet below this id holds arena words.
+    arena_first_live: usize,
+    /// Payload buffers recycled from the caller's previous drain.
+    spare_payloads: Vec<PackedFlits>,
     pub(crate) latencies: Vec<u64>,
     pub(crate) cycle: u64,
     pub(crate) packets_in_flight: u64,
@@ -359,6 +404,11 @@ impl Simulator {
             out_links,
             inject_links,
             packets: Vec::new(),
+            arena: Vec::new(),
+            words_per_flit: config.link_width_bits.div_ceil(64) as usize,
+            arena_released: 0,
+            arena_first_live: 0,
+            spare_payloads: Vec::new(),
             latencies: Vec::new(),
             cycle: 0,
             packets_in_flight: 0,
@@ -457,36 +507,84 @@ impl Simulator {
     /// Returns [`InjectError`] if nodes are out of range or a payload flit
     /// exceeds the link width.
     pub fn inject(&mut self, packet: Packet) -> Result<u64, InjectError> {
+        self.inject_flits(packet.src, packet.dst, &packet.payload_flits, packet.tag)
+    }
+
+    /// Queues a packet `src → dst` whose payload flit images are
+    /// borrowed: the head and payload flits are written straight into the
+    /// flit arena (payload images narrower than the link re-aligned onto
+    /// its full width, upper wires zero), with no per-packet allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InjectError`] if nodes are out of range or a payload flit
+    /// exceeds the link width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link is narrower than the 48 head addressing wires.
+    pub fn inject_flits(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        payload: &[PayloadBits],
+        tag: u64,
+    ) -> Result<u64, InjectError> {
         let n = self.config.num_nodes();
-        if packet.src >= n {
-            return Err(InjectError::NodeOutOfRange(packet.src));
+        if src >= n {
+            return Err(InjectError::NodeOutOfRange(src));
         }
-        if packet.dst >= n {
-            return Err(InjectError::NodeOutOfRange(packet.dst));
+        if dst >= n {
+            return Err(InjectError::NodeOutOfRange(dst));
         }
-        for p in &packet.payload_flits {
-            if p.width() > self.config.link_width_bits {
+        let width = self.config.link_width_bits;
+        for p in payload {
+            if p.width() > width {
                 return Err(InjectError::PayloadTooWide {
                     width: p.width(),
-                    link: self.config.link_width_bits,
+                    link: width,
                 });
             }
         }
         let id = self.packets.len() as u64;
-        let flits = packet.to_flits(id, self.config.link_width_bits);
-        self.ni_pending[packet.src].push_back(PendingPacket {
+        let k = self.words_per_flit;
+        let offset = self.arena.len();
+        let flits = 1 + payload.len();
+        self.arena.resize(offset + flits * k, 0);
+        let (head, body) = self.arena[offset..].split_at_mut(k);
+        encode_head_words(head, width, src, dst, payload.len() as u32, tag);
+        for (image, words) in payload.iter().zip(body.chunks_exact_mut(k)) {
+            let image = image.as_words();
+            words[..image.len()].copy_from_slice(image);
+        }
+        self.ni_pending[src].push_back(PendingPacket {
             packet: id as u32,
             next: 0,
         });
         self.ni_pending_total += 1;
         self.packets.push(PacketSlot {
             inject_cycle: self.cycle,
-            flits,
-            src: 0,
-            tag: 0,
+            tag,
+            offset,
+            src: src as u32,
+            dst: dst as u32,
+            flits: flits as u32,
         });
         self.packets_in_flight += 1;
         Ok(id)
+    }
+
+    /// The arena words of flit `seq` of `packet`.
+    #[inline]
+    fn flit_range(&self, packet: u32, seq: u32) -> std::ops::Range<usize> {
+        let at = self.packets[packet as usize].offset + seq as usize * self.words_per_flit;
+        at..at + self.words_per_flit
+    }
+
+    /// True when flit `seq` closes its packet.
+    #[inline]
+    fn is_tail(&self, fref: FlitRef) -> bool {
+        fref.seq + 1 == self.packets[fref.packet as usize].flits
     }
 
     /// True when no packet is anywhere in the network.
@@ -518,8 +616,13 @@ impl Simulator {
     ///
     /// Panics if `node` is out of range.
     pub fn drain_delivered(&mut self, node: NodeId) -> Vec<DeliveredPacket> {
-        let out: Vec<DeliveredPacket> = self.ni_delivered[node].drain(..).collect();
+        let mut out = Vec::with_capacity(self.ni_delivered[node].len());
+        while let Some(d) = self.ni_delivered[node].pop_front() {
+            let payload = PackedFlits::new(self.config.link_width_bits);
+            out.push(self.take_delivery(d, payload));
+        }
         self.delivered_pending -= out.len() as u64;
+        self.reclaim_arena();
         out
     }
 
@@ -533,17 +636,108 @@ impl Simulator {
     }
 
     /// [`Simulator::drain_all_delivered`] into a caller-owned buffer
-    /// (cleared first), so per-cycle polling loops reuse one allocation
-    /// for the lifetime of a run.
+    /// (cleared first). The payload buffers of the packets `out` held are
+    /// recycled for the new ones, so a polling loop that drains into one
+    /// vector for a whole run allocates nothing per packet once the
+    /// buffers have grown.
     pub fn drain_all_delivered_into(&mut self, out: &mut Vec<DeliveredPacket>) {
-        out.clear();
+        self.spare_payloads
+            .extend(out.drain(..).map(|d| d.payload_flits));
         if self.delivered_pending == 0 {
             return;
         }
         self.delivered_pending = 0;
-        for ni in &mut self.ni_delivered {
-            out.extend(ni.drain(..));
+        for node in 0..self.ni_delivered.len() {
+            while let Some(d) = self.ni_delivered[node].pop_front() {
+                let payload = self
+                    .spare_payloads
+                    .pop()
+                    .unwrap_or_else(|| PackedFlits::new(self.config.link_width_bits));
+                out.push(self.take_delivery(d, payload));
+            }
         }
+        self.reclaim_arena();
+    }
+
+    /// Copies a delivered packet's payload words into `payload` (reset
+    /// to the link width first) and releases its arena words.
+    fn take_delivery(&mut self, d: Delivery, mut payload: PackedFlits) -> DeliveredPacket {
+        let k = self.words_per_flit;
+        let slot = &mut self.packets[d.packet as usize];
+        let words = slot.flits as usize * k;
+        payload.reset(self.config.link_width_bits);
+        payload.extend_from_words(&self.arena[slot.offset + k..slot.offset + words]);
+        slot.offset = RELEASED;
+        self.arena_released += words;
+        DeliveredPacket {
+            packet_id: u64::from(d.packet),
+            src: slot.src as NodeId,
+            dst: slot.dst as NodeId,
+            tag: slot.tag,
+            payload_flits: payload,
+            inject_cycle: slot.inject_cycle,
+            arrival_cycle: d.arrival_cycle,
+        }
+    }
+
+    /// Reclaims released arena words: clears the arena when nothing in
+    /// it is live, otherwise compacts the live packets to the front (in
+    /// id order, so offsets only move down) once released words are at
+    /// least half of it. Each compaction moves at most as many words as
+    /// it frees, so the copying is amortized O(1) per flit.
+    fn reclaim_arena(&mut self) {
+        if self.arena_released == self.arena.len() {
+            self.arena.clear();
+            self.arena_released = 0;
+            self.arena_first_live = self.packets.len();
+            return;
+        }
+        if self.arena_released < COMPACT_MIN_WORDS || self.arena_released * 2 < self.arena.len() {
+            return;
+        }
+        let k = self.words_per_flit;
+        let mut cursor = 0;
+        let mut first_live = self.packets.len();
+        for (id, slot) in self
+            .packets
+            .iter_mut()
+            .enumerate()
+            .skip(self.arena_first_live)
+        {
+            if slot.offset == RELEASED {
+                continue;
+            }
+            first_live = first_live.min(id);
+            let words = slot.flits as usize * k;
+            self.arena
+                .copy_within(slot.offset..slot.offset + words, cursor);
+            slot.offset = cursor;
+            cursor += words;
+        }
+        self.arena.truncate(cursor);
+        self.arena_released = 0;
+        self.arena_first_live = first_live;
+    }
+
+    /// The packets delivered to `node` and not yet drained, as
+    /// `(packet id, src, dst, tag, payload words)` — the analytic
+    /// engine's debug oracle compares these without draining.
+    #[cfg(debug_assertions)]
+    pub(crate) fn peek_delivered(
+        &self,
+        node: NodeId,
+    ) -> impl Iterator<Item = (u64, NodeId, NodeId, u64, &[u64])> + '_ {
+        let k = self.words_per_flit;
+        self.ni_delivered[node].iter().map(move |d| {
+            let slot = &self.packets[d.packet as usize];
+            (
+                u64::from(d.packet),
+                slot.src as NodeId,
+                slot.dst as NodeId,
+                slot.tag,
+                &self.arena[slot.offset + k..slot.offset + slot.flits as usize * k],
+            )
+        })
     }
 
     /// Number of packets queued at `node`'s NI that have not finished
@@ -648,15 +842,14 @@ impl Simulator {
                 continue;
             };
             queue.next += 1;
-            if queue.next as usize == self.packets[front.packet as usize].flits.len() {
+            if queue.next == self.packets[front.packet as usize].flits {
                 self.ni_pending[node].pop_front();
                 self.ni_pending_total -= 1;
             }
             self.ni_credits[node * self.num_vcs + vc] -= 1;
-            let pid = fref.packet as usize;
-            let seq = fref.seq as usize;
+            let words = self.flit_range(fref.packet, fref.seq);
             if (self.inject_links.has_link_codec() || self.inject_links.faults_armed())
-                && !self.packets[pid].flits[seq].kind.is_head()
+                && fref.seq != 0
             {
                 // Per-link scope: the injection link encodes the payload
                 // flit against its persistent wire memory, the slab
@@ -664,12 +857,10 @@ impl Simulator {
                 // plain image is what travels onward. Fault-armed raw
                 // wires take the same path so flips land in the image the
                 // downstream hop actually carries.
-                let plain = self.packets[pid].flits[seq].payload;
-                self.packets[pid].flits[seq].payload =
-                    self.inject_links.observe_payload(node, &plain);
-            } else {
                 self.inject_links
-                    .observe(node, &self.packets[pid].flits[seq].payload);
+                    .observe_payload_words(node, &mut self.arena[words]);
+            } else {
+                self.inject_links.observe(node, &self.arena[words]);
             }
             self.link_inflight.push(LinkArrival {
                 node: node as u32,
@@ -713,9 +904,9 @@ impl Simulator {
                 let vi = vbase + k;
                 debug_assert_eq!(self.route_port[vi], UNSET, "routed_to mask out of sync");
                 let fref = self.fifo[vi * self.depth + self.fifo_head[vi]];
-                let front = &self.packets[fref.packet as usize].flits[fref.seq as usize];
-                if front.kind.is_head() {
-                    let op = route(&self.config, r, front.dst).index();
+                if fref.seq == 0 {
+                    let dst = self.packets[fref.packet as usize].dst as NodeId;
+                    let op = route(&self.config, r, dst).index();
                     self.route_port[vi] = op;
                     self.routed_to[rbase + op] |= 1u64 << k;
                 }
@@ -736,9 +927,7 @@ impl Simulator {
                 if self.out_vc[vi] != UNSET {
                     continue;
                 }
-                let fref = self.fifo[vi * self.depth + self.fifo_head[vi]];
-                let front = &self.packets[fref.packet as usize].flits[fref.seq as usize];
-                if !front.kind.is_head() {
+                if self.fifo[vi * self.depth + self.fifo_head[vi]].seq != 0 {
                     continue;
                 }
                 let op = self.route_port[vi];
@@ -822,16 +1011,16 @@ impl Simulator {
                 if self.fifo_len[vi] == 0 {
                     self.active_vcs[r] &= !(1u64 << idx);
                 }
-                let kind = self.packets[fref.packet as usize].flits[fref.seq as usize].kind;
-                if kind.is_tail() {
+                if self.is_tail(fref) {
                     self.out_alloc[obase + ovc] = UNSET;
                     self.route_port[vi] = UNSET;
                     self.out_vc[vi] = UNSET;
                     self.routed_to[r * NUM_PORTS + op] &= !(1u64 << idx);
                 }
                 // Transmit on the link + record transitions (Fig. 8).
+                let words = self.flit_range(fref.packet, fref.seq);
                 if (self.out_links.has_link_codec() || self.out_links.faults_armed())
-                    && !kind.is_head()
+                    && fref.seq != 0
                 {
                     // Per-link scope: encode against this link's
                     // persistent wire memory, record the coded image,
@@ -839,16 +1028,11 @@ impl Simulator {
                     // onward (ejection links deliver it to the NI).
                     // Fault-armed raw wires take the same path so flips
                     // propagate in the carried image.
-                    let pid = fref.packet as usize;
-                    let seq = fref.seq as usize;
-                    let plain = self.packets[pid].flits[seq].payload;
-                    self.packets[pid].flits[seq].payload =
-                        self.out_links.observe_payload(r * NUM_PORTS + op, &plain);
+                    self.out_links
+                        .observe_payload_words(r * NUM_PORTS + op, &mut self.arena[words]);
                 } else {
-                    self.out_links.observe(
-                        r * NUM_PORTS + op,
-                        &self.packets[fref.packet as usize].flits[fref.seq as usize].payload,
-                    );
+                    self.out_links
+                        .observe(r * NUM_PORTS + op, &self.arena[words]);
                 }
                 if op == LOCAL {
                     self.eject_inflight.push((r as u32, fref));
@@ -876,36 +1060,22 @@ impl Simulator {
     /// Accepts a flit at the destination NI, reassembling packets.
     fn receive_at_ni(&mut self, node: usize, fref: FlitRef) {
         self.flits_delivered += 1;
-        let pid = fref.packet as usize;
-        let (kind, src_field) = {
-            let flit = &self.packets[pid].flits[fref.seq as usize];
-            (flit.kind, flit.src)
-        };
-        if kind.is_head() {
-            let (src, _dst, _len, tag) = crate::packet::decode_head_payload(
-                &self.packets[pid].flits[fref.seq as usize].payload,
-            );
-            let slot = &mut self.packets[pid];
-            slot.src = src;
+        if fref.seq == 0 {
+            let words = self.flit_range(fref.packet, 0);
+            let (src, _dst, _len, tag) =
+                decode_head_words(&self.arena[words], self.config.link_width_bits);
+            let slot = &mut self.packets[fref.packet as usize];
+            debug_assert_eq!(src, slot.src as NodeId, "head metadata corrupted");
+            slot.src = src as u32;
             slot.tag = tag;
-            debug_assert_eq!(src, src_field, "head metadata corrupted");
         }
-        if kind.is_tail() {
-            let slot = &mut self.packets[pid];
-            // Release the interned flit storage; the payload images are
-            // exactly what traversed the wires.
-            let flits = std::mem::take(&mut slot.flits);
-            let delivered = DeliveredPacket {
-                packet_id: fref.packet as u64,
-                src: slot.src,
-                dst: node,
-                tag: slot.tag,
-                payload_flits: flits.iter().skip(1).map(|f| f.payload).collect(),
-                inject_cycle: slot.inject_cycle,
+        if self.is_tail(fref) {
+            let inject_cycle = self.packets[fref.packet as usize].inject_cycle;
+            self.latencies.push(self.cycle - inject_cycle);
+            self.ni_delivered[node].push_back(Delivery {
+                packet: fref.packet,
                 arrival_cycle: self.cycle,
-            };
-            self.latencies.push(delivered.latency());
-            self.ni_delivered[node].push_back(delivered);
+            });
             self.delivered_pending += 1;
             self.packets_in_flight -= 1;
             self.packets_delivered += 1;
@@ -999,8 +1169,8 @@ mod tests {
         assert_eq!(got[0].tag, 42);
         assert_eq!(got[0].src, 0);
         assert_eq!(got[0].payload_flits.len(), 2);
-        assert_eq!(got[0].payload_flits[0].field(0, 64), 0xdead);
-        assert_eq!(got[0].payload_flits[1].field(0, 64), 0xbeef);
+        assert_eq!(got[0].payload_flits.field(0, 0, 64), 0xdead);
+        assert_eq!(got[0].payload_flits.field(1, 0, 64), 0xbeef);
         assert!(got[0].latency() >= 6, "XY path 0->15 is 6 hops");
     }
 
@@ -1080,9 +1250,9 @@ mod tests {
         let got = sim.drain_delivered(5);
         assert_eq!(got.len(), 15);
         for d in got {
-            for (i, flit) in d.payload_flits.iter().enumerate() {
+            for i in 0..d.payload_flits.len() {
                 assert_eq!(
-                    flit.field(0, 64),
+                    d.payload_flits.field(i, 0, 64),
                     (d.tag << 32) | i as u64,
                     "packet {}",
                     d.tag
@@ -1380,6 +1550,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn arena_tracks_the_working_set_while_polling() {
+        // 1000 packets of 512-bit flits under steady injection, drained
+        // every cycle: each delivered payload matches what was injected,
+        // released words are compacted away while other packets are
+        // still live, and a fully drained simulator holds an empty arena.
+        let mut sim = Simulator::new(NocConfig::mesh(4, 4, 512));
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut sent: HashMap<u64, Vec<PayloadBits>> = HashMap::new();
+        let (mut buf, mut got, mut peak, mut total_words) = (Vec::new(), 0, 0, 0);
+        let mut compactions = 0;
+        for tag in 0..1000u64 {
+            let payload: Vec<PayloadBits> = (0..rng.gen_range(1..5))
+                .map(|_| image(512, rng.gen()))
+                .collect();
+            total_words += (payload.len() + 1) * 8;
+            let (src, dst) = (rng.gen_range(0..16), rng.gen_range(0..16));
+            sim.inject(Packet::new(src, dst, payload.clone(), tag))
+                .unwrap();
+            sent.insert(tag, payload);
+            for _ in 0..2 {
+                let released = sim.arena_released;
+                sim.step();
+                sim.drain_all_delivered_into(&mut buf);
+                for d in &buf {
+                    assert_eq!(d.payload_flits.to_payloads(), sent[&d.tag], "tag {}", d.tag);
+                    got += 1;
+                }
+                if released > 0 && sim.arena_released == 0 && !sim.arena.is_empty() {
+                    compactions += 1;
+                }
+                peak = peak.max(sim.arena.len());
+            }
+        }
+        while !sim.is_idle() {
+            sim.step();
+            sim.drain_all_delivered_into(&mut buf);
+            got += buf.len();
+        }
+        assert_eq!(got, 1000);
+        assert!(compactions > 0, "no compaction under steady traffic");
+        assert!(
+            peak < total_words / 2,
+            "arena peaked at {peak} of {total_words} words"
+        );
+        assert!(sim.arena.is_empty());
     }
 
     #[test]

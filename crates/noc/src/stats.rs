@@ -2,6 +2,7 @@
 
 use crate::fault::{ErrorModel, FaultState};
 use crate::routing::Direction;
+use btr_bits::packed;
 use btr_bits::payload::PayloadBits;
 use btr_core::codec::{CodecKind, LinkCodecState};
 use serde::{Deserialize, Serialize};
@@ -26,21 +27,30 @@ struct CodecLanes {
 /// The flat-array simulator attaches one slab to all router output links
 /// and one to all injection links, instead of a `TransitionRecorder`
 /// object per link: the previous-image, transition-total and flit-count
-/// columns live in contiguous index-addressed vectors, so the per-hop
-/// record (XOR + popcount + store, Fig. 8) touches three adjacent slots
-/// rather than chasing per-link allocations.
+/// columns live in contiguous index-addressed vectors. The previous
+/// images are packed words (`width.div_ceil(64)` per link, the
+/// [`btr_bits::packed`] layout), and [`LinkSlab::observe`] /
+/// [`LinkSlab::observe_run`] take a flit as its word slice straight out
+/// of the simulator's flit arena, so the per-hop record (Fig. 8) is an
+/// XOR + popcount + store over two words on a 128-bit link, with no
+/// image copy.
 ///
 /// With [`LinkSlab::with_link_codec`] the links additionally own
 /// persistent codec state: every payload flit is encoded against the
 /// link's wire memory at traversal time ([`LinkSlab::observe_payload`]),
 /// the accumulators record the **true coded wire**, and the receiving
 /// end's mirrored state decodes the plain image back — losslessly, with
-/// no per-packet reset.
+/// no per-packet reset. The codec lanes and the fault process work on
+/// [`PayloadBits`] images; [`LinkSlab::observe_payload_words`] converts
+/// an arena flit at that boundary.
 #[derive(Debug, Clone)]
 pub struct LinkSlab {
     width: u32,
-    /// Last image seen per link (valid where `flits > 0`).
-    prev: Vec<PayloadBits>,
+    /// Words per flit image (`width.div_ceil(64)`).
+    words_per_flit: usize,
+    /// Last image seen per link, packed: link `l` owns words
+    /// `l·words_per_flit..(l+1)·words_per_flit` (valid where `flits > 0`).
+    prev: Vec<u64>,
     /// Accumulated transitions per link.
     transitions: Vec<u64>,
     /// Flits observed per link.
@@ -57,9 +67,11 @@ impl LinkSlab {
     /// Creates a slab of `links` raw-wire links, each `width` bits wide.
     #[must_use]
     pub fn new(width: u32, links: usize) -> Self {
+        let words_per_flit = width.div_ceil(64) as usize;
         Self {
             width,
-            prev: vec![PayloadBits::zero(width.max(1)); links],
+            words_per_flit,
+            prev: vec![0; links * words_per_flit],
             transitions: vec![0; links],
             flits: vec![0; links],
             lanes: None,
@@ -169,34 +181,37 @@ impl LinkSlab {
         self.flits.len()
     }
 
-    /// Records a flit traversing `link`, accumulating the Hamming distance
-    /// to the link's previous image (the first flit is free).
+    /// Records a flit traversing `link`, given as its packed words,
+    /// accumulating the Hamming distance to the link's previous image
+    /// (the first flit is free).
     ///
     /// # Panics
     ///
-    /// Panics if `link` is out of range or the flit width differs from the
-    /// slab width.
+    /// Panics if `link` is out of range or `flit` is not
+    /// `width.div_ceil(64)` words long.
     #[inline]
-    pub fn observe(&mut self, link: usize, flit: &PayloadBits) {
+    pub fn observe(&mut self, link: usize, flit: &[u64]) {
+        let k = self.words_per_flit;
         assert_eq!(
-            flit.width(),
-            self.width,
-            "flit width {} does not match link width {}",
-            flit.width(),
+            flit.len(),
+            k,
+            "flit of {} words does not match the {}-bit link",
+            flit.len(),
             self.width
         );
+        let prev = &mut self.prev[link * k..(link + 1) * k];
         if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(flit.transitions_to(&self.prev[link]));
+            self.transitions[link] += u64::from(packed::transitions(flit, prev));
         }
-        self.prev[link].clone_used_from(flit);
+        prev.copy_from_slice(flit);
         self.flits[link] += 1;
     }
 
     /// Records an uninterrupted run of `count` flits traversing `link` in
     /// one step — exactly equivalent to calling [`LinkSlab::observe`] on
-    /// each flit of the run in order, given the run's first image, last
-    /// image, and the precomputed sum of Hamming distances between its
-    /// consecutive flits (`intra_transitions`).
+    /// each flit of the run in order, given the run's first and last
+    /// flits' packed words and the precomputed sum of Hamming distances
+    /// between its consecutive flits (`intra_transitions`).
     ///
     /// This is the analytic engine's O(1)-per-hop kernel: on raw wires a
     /// packet's flit sequence is identical on every link of its path, so
@@ -209,13 +224,13 @@ impl LinkSlab {
     /// # Panics
     ///
     /// Panics if the slab owns per-link codec state, `count` is zero,
-    /// `link` is out of range, or the image widths differ from the slab
-    /// width.
+    /// `link` is out of range, or a flit is not `width.div_ceil(64)` words
+    /// long.
     pub fn observe_run(
         &mut self,
         link: usize,
-        first: &PayloadBits,
-        last: &PayloadBits,
+        first: &[u64],
+        last: &[u64],
         intra_transitions: u64,
         count: u64,
     ) {
@@ -228,19 +243,25 @@ impl LinkSlab {
             "bulk runs cannot traverse error-injected wires"
         );
         assert!(count > 0, "a flit run cannot be empty");
-        assert_eq!(
-            first.width(),
-            self.width,
-            "flit width {} does not match link width {}",
-            first.width(),
+        self.charge_run(link, first, last, intra_transitions, count);
+    }
+
+    /// The accumulator half of a run: boundary transition against the
+    /// link's previous image, the intra sum, the new previous image.
+    #[inline]
+    fn charge_run(&mut self, link: usize, first: &[u64], last: &[u64], intra: u64, count: u64) {
+        let k = self.words_per_flit;
+        assert!(
+            first.len() == k && last.len() == k,
+            "run flits do not match the {}-bit link",
             self.width
         );
-        assert_eq!(last.width(), self.width, "run mixes flit widths");
+        let prev = &mut self.prev[link * k..(link + 1) * k];
         if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(first.transitions_to(&self.prev[link]));
+            self.transitions[link] += u64::from(packed::transitions(first, prev));
         }
-        self.transitions[link] += intra_transitions;
-        self.prev[link].clone_used_from(last);
+        self.transitions[link] += intra;
+        prev.copy_from_slice(last);
         self.flits[link] += count;
     }
 
@@ -268,11 +289,18 @@ impl LinkSlab {
             // Raw wires: a glitch corrupts the image itself; the recorder
             // sees (and charges) the corrupted wire, and the downstream
             // hop carries it onward.
+            assert_eq!(
+                flit.width(),
+                self.width,
+                "flit width {} does not match link width {}",
+                flit.width(),
+                self.width
+            );
             let mut wire = *flit;
             if let Some(faults) = self.faults.as_mut() {
                 faults.corrupt(link, &mut wire);
             }
-            self.observe(link, &wire);
+            self.observe(link, wire.as_words());
             return wire;
         };
         let mut wire = lanes.tx[link].encode_step(flit);
@@ -287,7 +315,7 @@ impl LinkSlab {
                 .decode_step(&wire)
                 // btr-lint: allow(panic-in-hot-path, reason = "tx/rx lanes are built as a mirrored pair over the same wire width; a decode failure here is codec-lane construction corruption, not a data condition")
                 .expect("mirrored decoder consumes the wire it was built for");
-            self.observe(link, &wire);
+            self.observe(link, wire.as_words());
             return plain.resized(self.width);
         }
         // Perfect wires: the mirrored decode provably returns the
@@ -313,8 +341,24 @@ impl LinkSlab {
         }
         #[cfg(not(debug_assertions))]
         lanes.rx[link].clone_from(&lanes.tx[link]);
-        self.observe(link, &wire);
+        self.observe(link, wire.as_words());
         flit.resized(self.width)
+    }
+
+    /// [`LinkSlab::observe_payload`] on a flit held as packed words, in
+    /// place: the words are replaced by the image the downstream hop
+    /// carries (unchanged on perfect wires, since arena flits are already
+    /// link-aligned). The codec lanes and the fault process work on
+    /// [`PayloadBits`]; this is the conversion at that boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions of [`LinkSlab::observe_payload`], or if
+    /// `flit` is not `width.div_ceil(64)` words long.
+    pub fn observe_payload_words(&mut self, link: usize, flit: &mut [u64]) {
+        let plain = PayloadBits::from_words(self.width, flit);
+        let carried = self.observe_payload(link, &plain);
+        flit.copy_from_slice(carried.as_words());
     }
 
     /// Records an uninterrupted run of *payload* flits traversing `link`
@@ -392,12 +436,13 @@ impl LinkSlab {
         lanes.rx[link].clone_from(&lanes.tx[link]);
         let first = run.first.resized(self.width);
         let last = run.last.resized(self.width);
-        if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(first.transitions_to(&self.prev[link]));
-        }
-        self.transitions[link] += run.intra;
-        self.prev[link].clone_used_from(&last);
-        self.flits[link] += run.count;
+        self.charge_run(
+            link,
+            first.as_words(),
+            last.as_words(),
+            run.intra,
+            run.count,
+        );
     }
 
     /// Accumulated transitions on `link`.

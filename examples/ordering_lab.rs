@@ -8,7 +8,7 @@ use noc_btr::bits::PayloadBits;
 use noc_btr::core::encoding::{bus_invert, delta_xor, unencoded};
 use noc_btr::core::ordering::{ascending_popcount_order, greedy_nearest_order};
 use noc_btr::core::stream::{
-    build_stream_flits, measure_flits, Comparison, Placement, StreamFlits, TieBreak, WindowConfig,
+    build_stream_flits, measure_flits, Comparison, PackedFlits, Placement, TieBreak, WindowConfig,
 };
 use noc_btr::core::transport::pack_window_with_order;
 use rand::rngs::StdRng;
@@ -20,12 +20,12 @@ fn flits_with_order(
     packets: &[Vec<Fx8Word>],
     window: usize,
     order: impl Fn(&[Fx8Word]) -> Vec<usize> + Copy,
-) -> StreamFlits {
+) -> PackedFlits {
     let mut flits: Vec<PayloadBits> = Vec::new();
     for group in packets.chunks(window) {
         flits.extend(pack_window_with_order(group, 8, order));
     }
-    StreamFlits::from_payloads(64, &flits)
+    PackedFlits::from_payloads(64, &flits)
 }
 
 fn main() {
@@ -87,7 +87,7 @@ fn main() {
     // heavy values next to the zero-padded packet tails; greedy
     // nearest-popcount ties descending, showing popcount adjacency is
     // what matters.
-    let measure = |flits: &StreamFlits| measure_flits::<Fx8Word>(flits, 8, comparison, 0);
+    let measure = |flits: &PackedFlits| measure_flits::<Fx8Word>(flits, 8, comparison, 0);
     show(
         "ascending popcount (window 64)",
         measure(&flits_with_order(&packets, 64, ascending_popcount_order)).transitions,

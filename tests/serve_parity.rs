@@ -126,6 +126,44 @@ fn serve_report_accounts_the_whole_fleet() {
 }
 
 #[test]
+fn fleet_totals_repeat_across_identical_runs() {
+    // Which session serves which dispatch is a worker race, so the
+    // `per_session` rows may differ between identical runs. Fleet totals
+    // must not: with a window that divides the request count and a flush
+    // budget long enough that no window flushes short, every dispatch is
+    // the same consecutive request slice on a fresh mesh, whichever
+    // session runs it.
+    let model = tiny_model(11);
+    let ops = model.inference_ops();
+    let pool: Vec<Tensor> = (0..4).map(|i| tiny_input(70 + i)).collect();
+    let requests = 8usize;
+    let config = ServeConfig {
+        accel: accel_config(2),
+        sessions: 2,
+        queue_capacity: 8,
+        flush_polls: 10_000,
+    };
+    let run = || serve(&ops, &config, synthetic_requests(&pool, requests)).unwrap();
+    let (a, b) = (run(), run());
+    let totals = |r: &btr_serve::ServeReport| {
+        (
+            r.completed,
+            r.per_session.iter().map(|s| s.inferences).sum::<u64>(),
+            r.transitions,
+            r.index_overhead_bits,
+            r.codec_overhead_bits,
+            r.edc_overhead_bits,
+        )
+    };
+    assert_eq!(totals(&a), totals(&b));
+    assert_eq!(totals(&a).1, requests as u64);
+    assert!(a.transitions > 0);
+    for (x, y) in a.outputs.iter().zip(&b.outputs) {
+        assert_eq!(x.data(), y.data());
+    }
+}
+
+#[test]
 fn serve_recovers_bit_exact_outputs_on_unreliable_links() {
     use noc_btr::core::codec::ResyncPolicy;
     use noc_btr::noc::fault::{BitErrorRate, ErrorModel, FaultMode};

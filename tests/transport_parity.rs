@@ -20,7 +20,7 @@
 //!    backends are lossless at the PE across the mesh.
 
 use noc_btr::bits::word::{DataWord, F32Word, Fx8Word};
-use noc_btr::bits::PayloadBits;
+use noc_btr::bits::{PackedFlits, PayloadBits};
 use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::edc::EdcKind;
 use noc_btr::core::flitize::order_task_with;
@@ -43,6 +43,11 @@ fn random_fx8_task(rng: &mut StdRng, n: usize) -> NeuronTask<Fx8Word> {
     NeuronTask::new(inputs, weights, Fx8Word::new(rng.gen())).unwrap()
 }
 
+/// Wire images packed the way the mesh delivers them.
+fn packed(images: &[PayloadBits]) -> PackedFlits {
+    PackedFlits::from_payloads(images[0].width(), images)
+}
+
 #[test]
 fn transport_roundtrip_mac_equality_all_orderings_and_tiebreaks() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -62,7 +67,7 @@ fn transport_roundtrip_mac_equality_all_orderings_and_tiebreaks() {
                     });
                     let enc = session.encode_task(&task).unwrap();
                     let rec = session
-                        .decode_task(&enc.wire_meta(), &enc.payload_flits())
+                        .decode_task(&enc.wire_meta(), &packed(&enc.payload_flits()))
                         .unwrap();
                     assert_eq!(
                         rec.mac_i64(),
@@ -99,7 +104,7 @@ fn transport_roundtrip_f32_within_reassociation_tolerance() {
                 });
                 let enc = session.encode_task(&task).unwrap();
                 let rec = session
-                    .decode_task(&enc.wire_meta(), &enc.payload_flits())
+                    .decode_task(&enc.wire_meta(), &packed(&enc.payload_flits()))
                     .unwrap();
                 let want = task.mac_f64();
                 assert!(
@@ -444,7 +449,7 @@ fn coded_backends_are_lossless_at_the_pe() {
         delivered.sort_by_key(|d| d.tag);
         assert_eq!(delivered.len(), tasks.len());
         for d in delivered {
-            assert!(d.payload_flits.iter().all(|f| f.width() == link_width));
+            assert_eq!(d.payload_flits.width(), link_width);
             let (task, meta) = &tasks[d.tag as usize];
             let rec: noc_btr::core::task::RecoveredTask<Fx8Word> =
                 port.receive_task(meta, &d).unwrap();
